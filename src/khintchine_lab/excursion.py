@@ -20,8 +20,10 @@ import scipy.stats
 from .flows import diag_time, similarity_to_group
 from .ifs import IfsSystem, sample_fractal
 from .lattices import (
+    LAGRANGE_ITERATION_LIMIT,
     SINGULAR_TOL,
     CompactWindow,
+    ReductionGuardError,
     _enumerate_sup,
     lll_reduce,
     shortest_of_basis,
@@ -113,7 +115,7 @@ class _Walker2:
 
     def _reduce(self):
         b00, b01, b10, b11 = self.b00, self.b01, self.b10, self.b11
-        for _ in range(64):
+        for _ in range(LAGRANGE_ITERATION_LIMIT):
             n0 = b00 * b00 + b01 * b01
             n1 = b10 * b10 + b11 * b11
             if n0 > n1:
@@ -126,6 +128,10 @@ class _Walker2:
                 break
             b10 -= q * b00
             b11 -= q * b01
+        else:
+            raise ReductionGuardError(
+                f"Lagrange reduction stopped after {LAGRANGE_ITERATION_LIMIT} iterations"
+            )
         self.b00, self.b01, self.b10, self.b11 = b00, b01, b10, b11
 
     def apply(self, s):
@@ -159,16 +165,14 @@ class _WalkerN:
     def apply(self, s):
         self.b, _ = lll_reduce(self.b @ s)
 
+    def scale(self, factors):
+        # B @ diag(factors): every off-diagonal product is an exact zero, so
+        # scaling the columns gives the same floats
+        self.b, _ = lll_reduce(self.b * factors)
+
     def height(self) -> float:
         delta, _ = _enumerate_sup(self.b)
         return -math.log(delta)
-
-
-def _make_walker(basis):
-    basis = np.asarray(basis, dtype=float)
-    if basis.shape[0] == 2:
-        return _Walker2(basis)
-    return _WalkerN(basis)
 
 
 def _flat2(m: np.ndarray):
@@ -214,13 +218,15 @@ def diagonal_heights(x, kappa: float, n_max: int, refine: int = 1) -> np.ndarray
     if d == 1:
         step = (math.exp(-spacing), 0.0, 0.0, math.exp(spacing))
         walker = _Walker2(basis)
+        advance = walker.apply
     else:
-        step = np.diag([math.exp(-spacing)] + [math.exp(spacing / d)] * d)
+        step = np.array([math.exp(-spacing)] + [math.exp(spacing / d)] * d)
         walker = _WalkerN(basis)
+        advance = walker.scale
     out = np.empty(n_max * refine + 1)
     out[0] = walker.height()
     for j in range(1, out.size):
-        walker.apply(step)
+        advance(step)
         out[j] = walker.height()
     return out
 

@@ -13,9 +13,10 @@ certifiably contains every sup-norm minimizer; l(g) = -log Delta(g).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from operator import mul
 
 import numpy as np
 
@@ -50,142 +51,221 @@ class CompactWindow:
         return l <= self.level
 
 
-def _canonical(coeffs: np.ndarray) -> np.ndarray:
+class ReductionGuardError(RuntimeError):
+    """A reduction loop reached its iteration limit before the basis was
+    reduced; the partly reduced basis is not handed back."""
+
+
+# Iteration limits of the reduction loops (module-level so tests can lower them).
+LLL_ITERATION_LIMIT = 10_000
+LAGRANGE_ITERATION_LIMIT = 64
+# The kernel computes in plain floats, which can differ from the numpy
+# reference arithmetic (BLAS dot products) in the last bits.  A reduction
+# decision within this relative slack of its tie, and an enumeration leaf
+# within it of the best sup norm, is settled with the reference arithmetic.
+REFERENCE_SLACK = 1e-9
+
+
+def _canonical(coeffs: tuple) -> tuple:
+    """Sign normalization: first nonzero coefficient positive."""
     for v in coeffs:
-        if v != 0:
-            return coeffs if v > 0 else -coeffs
+        if v:
+            return coeffs if v > 0 else tuple(-c for c in coeffs)
     return coeffs
 
 
-def _lex_min(candidates: list[np.ndarray]) -> np.ndarray:
-    return min(candidates, key=lambda c: tuple(int(v) for v in c))
+def _plain_dot(a: list, b: list) -> float:
+    return math.fsum(map(mul, a, b))
+
+
+def _reference_dot(a: list, b: list) -> float:
+    return float(np.array(a) @ np.array(b))
+
+
+def _gram(
+    rows: list, start: int = 0, data: tuple | None = None, dot=_plain_dot
+) -> tuple[list, list, list]:
+    """Gram-Schmidt data of the rows: (mu, norms, stars) with
+    mu[i][j] = <b_i, b*_j>/|b*_j|^2 for j < i, norms[i] = |b*_i|^2 and
+    stars[i] = b*_i.  A numerically zero b*_j contributes no projection.
+
+    The data of row i depends on rows 0..i only, so after a change to rows
+    >= ``start`` the rows below keep their entries of ``data`` and only the
+    rest is recomputed, with the same floats as a full run.
+    """
+    if data is None:
+        mu, norms, stars = [], [], []
+    else:
+        mu, norms, stars = data
+        del mu[start:], norms[start:], stars[start:]
+    k = len(rows)
+    for b in rows[start:]:
+        v = b
+        mu_row = [0.0] * k
+        for j, (star, norm) in enumerate(zip(stars, norms)):
+            if norm > SINGULAR_TOL:
+                m = dot(b, star) / norm
+                mu_row[j] = m
+                v = [x - m * y for x, y in zip(v, star)]
+        stars.append(v)
+        norms.append(dot(v, v))
+        mu.append(mu_row)
+    return mu, norms, stars
+
+
+def _near_half(m: float) -> bool:
+    """Whether round(m) could differ between plain and reference floats."""
+    return abs(abs(m - round(m)) - 0.5) <= REFERENCE_SLACK * max(1.0, abs(m))
+
+
+# (rows, Gram-Schmidt data) of the last basis lll_reduce returned: the
+# enumeration of that basis reuses the data instead of recomputing it
+_last_reduced: list = [None, None]
 
 
 def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> tuple[np.ndarray, np.ndarray]:
     """Lovasz-reduce the rows of ``basis``; returns (reduced, U) with
-    reduced = U @ basis and U integer unimodular."""
-    b = np.array(basis, dtype=float)
-    k = b.shape[0]
-    u = np.eye(k, dtype=np.int64)
+    reduced = U @ basis and U integer unimodular.
 
-    def gram():
-        mu = np.zeros((k, k))
-        star = np.zeros_like(b)
-        norms = np.zeros(k)
-        for i in range(k):
-            v = b[i].copy()
-            for j in range(i):
-                if norms[j] > SINGULAR_TOL:
-                    mu[i, j] = (b[i] @ star[j]) / norms[j]
-                v = v - mu[i, j] * star[j]
-            star[i] = v
-            norms[i] = v @ v
-        return mu, norms
-
-    mu, norms = gram()
-    if np.min(norms) < SINGULAR_TOL:
+    Size reduction runs j = i-1..0 with the coefficients mu[i][j] of the
+    Gram-Schmidt data taken before the pass; the data is brought up to date
+    after a pass that changed b_i and after every swap.  Decisions (round(mu)
+    and the Lovasz test) read plain-float data; one within REFERENCE_SLACK of
+    its tie reads the data recomputed with numpy dot products instead, so the
+    decisions, and with them the reduced floats, are those of that arithmetic.
+    """
+    b = np.asarray(basis, dtype=float).tolist()
+    k = len(b)
+    u = [[int(i == j) for j in range(k)] for i in range(k)]
+    data = _gram(b)
+    mu, norms, _ = data
+    if min(norms) < SINGULAR_TOL:
         raise ValueError("numerically singular basis")
+    reference = None  # Gram data of the current b in reference arithmetic
     i = 1
-    guard = 0
+    iterations = 0
     while i < k:
-        guard += 1
-        if guard > 10_000:
-            break
+        iterations += 1
+        if iterations > LLL_ITERATION_LIMIT:
+            raise ReductionGuardError(
+                f"LLL stopped after {LLL_ITERATION_LIMIT} iterations"
+            )
+        mu_i = mu[i]
+        if any(_near_half(m) for m in mu_i[:i]):
+            reference = reference or _gram(b, dot=_reference_dot)
+            mu_i = reference[0][i]
         changed = False
         for j in range(i - 1, -1, -1):
-            q = round(mu[i, j])
+            q = round(mu_i[j])
             if q:
-                b[i] -= q * b[j]
-                u[i] -= q * u[j]
+                b[i] = [x - q * y for x, y in zip(b[i], b[j])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[j])]
                 changed = True
         if changed:
-            mu, norms = gram()
-        if norms[i] >= (delta - mu[i, i - 1] ** 2) * norms[i - 1]:
+            _gram(b, i, data)
+            reference = None
+        lhs = norms[i]
+        rhs = (delta - mu[i][i - 1] ** 2) * norms[i - 1]
+        if abs(lhs - rhs) <= REFERENCE_SLACK * max(abs(lhs), abs(rhs)):
+            reference = reference or _gram(b, dot=_reference_dot)
+            ref_mu, ref_norms, _ = reference
+            lhs = ref_norms[i]
+            rhs = (delta - ref_mu[i][i - 1] ** 2) * ref_norms[i - 1]
+        if lhs >= rhs:
             i += 1
         else:
-            b[[i - 1, i]] = b[[i, i - 1]]
-            u[[i - 1, i]] = u[[i, i - 1]]
-            mu, norms = gram()
+            b[i - 1], b[i] = b[i], b[i - 1]
+            u[i - 1], u[i] = u[i], u[i - 1]
+            _gram(b, i - 1, data)
+            reference = None
             i = max(i - 1, 1)
-    return b, u
+    _last_reduced[:] = [b, data]
+    return np.array(b), np.array(u, dtype=np.int64)
 
 
-def _enumerate_sup(reduced: np.ndarray) -> tuple[float, list[np.ndarray]]:
-    """All coefficient vectors (w.r.t. the reduced rows) achieving the minimal
-    sup norm, by depth-first search over the certified Euclidean ball."""
-    k = reduced.shape[0]
-    mu = np.zeros((k, k))
-    star = np.zeros_like(reduced)
-    norms = np.zeros(k)
-    for i in range(k):
-        v = reduced[i].copy()
-        for j in range(i):
-            mu[i, j] = (reduced[i] @ star[j]) / norms[j]
-            v = v - mu[i, j] * star[j]
-        star[i] = v
-        norms[i] = v @ v
-        if norms[i] < SINGULAR_TOL:
-            raise ValueError("numerically singular basis")
+def _exact_sup(coeffs: tuple, plain: float, reduced: np.ndarray) -> float:
+    """Sup norm of coeffs @ reduced, bit for bit as ``xs @ reduced``, given
+    its plain-float value accumulated row by row.
 
-    best = float(np.min(np.max(np.abs(reduced), axis=1)))
-    found: list[np.ndarray] = []
-    xs = np.zeros(k, dtype=np.int64)
+    With at most two nonzero coefficients, each a signed power of two, every
+    product is exact and the sum rounds once, so the plain value agrees with
+    any summation order; otherwise the matrix product itself is evaluated.
+    """
+    nonzero = [abs(c) for c in coeffs if c]
+    if len(nonzero) <= 2 and all(c & (c - 1) == 0 for c in nonzero):
+        return plain
+    return float(np.max(np.abs(np.array(coeffs, dtype=np.int64) @ reduced)))
 
-    def visit(i: int, partial: float):
-        nonlocal best, found
-        r2 = k * best * best * BALL_INFLATION
-        if partial > r2:
-            return
-        if i < 0:
-            if not np.any(xs):
-                return
-            sup = float(np.max(np.abs(xs @ reduced)))
-            if sup < best:
-                best = sup
-                found = [xs.copy()]
-            elif sup == best:
-                found.append(xs.copy())
-            return
-        center = -float(np.dot(mu[i + 1 :, i], xs[i + 1 :])) if i < k - 1 else 0.0
-        span = math.sqrt(max(r2 - partial, 0.0) / norms[i])
-        lo = math.ceil(center - span)
-        hi = math.floor(center + span)
-        order = sorted(range(lo, hi + 1), key=lambda x: abs(x - center))
-        for x in order:
+
+def _enumerate_sup(reduced: np.ndarray) -> tuple[float, list[tuple]]:
+    """All coefficient vectors (w.r.t. the reduced rows, one of each +-pair)
+    achieving the minimal sup norm, by depth-first search over the certified
+    Euclidean ball.
+
+    Children are visited in Schnorr-Euchner zig-zag order (nondecreasing
+    distance to the projected center), so a level stops at its first child
+    outside the ball.
+    """
+    rows = reduced.tolist()
+    k = len(rows)
+    if rows == _last_reduced[0]:
+        mu, norms, _ = _last_reduced[1]
+    else:
+        mu, norms, _ = _gram(rows)
+    if min(norms) < SINGULAR_TOL:
+        raise ValueError("numerically singular basis")
+    row_sups = [max(map(abs, row)) for row in rows]
+    best = min(row_sups)
+    # (plain-float sup, coeffs); seeded with the minimal rows
+    leaves = [
+        (s, tuple(int(j == i) for j in range(k)))
+        for i, s in enumerate(row_sups)
+        if s == best
+    ]
+    xs = [0] * k
+    ball = k * BALL_INFLATION  # |v|_2^2 <= k |v|_inf^2
+
+    def visit(i: int, partial: float, vec: list, top: bool):
+        # top: every coefficient above level i is zero, so the center is 0
+        # and only x >= 0 is searched (v and -v have the same sup norm)
+        nonlocal best
+        center = 0.0
+        for j in range(i + 1, k):
+            center -= mu[j][i] * xs[j]
+        norm = norms[i]
+        row = rows[i]
+        x = round(center)
+        step = 1 if top or center >= x else -1
+        n = 0
+        while True:
+            p = partial + norm * (x - center) ** 2
+            if p > ball * best * best:
+                break
             xs[i] = x
-            visit(i - 1, partial + norms[i] * (x - center) ** 2)
+            if i:
+                visit(i - 1, p, [a + x * y for a, y in zip(vec, row)], top and x == 0)
+            elif x or not top:
+                s = max([abs(a + x * y) for a, y in zip(vec, row)])
+                if s <= best * (1.0 + REFERENCE_SLACK):
+                    leaves.append((s, tuple(xs)))
+                    if s < best:
+                        best = s
+            n += 1
+            if top:
+                x += 1
+            else:
+                x += step * n
+                step = -step
         xs[i] = 0
 
-    visit(k - 1, 0.0)
-    if not found:
-        # the initial best (a basis row) was already minimal and the strict
-        # search never re-recorded it; rebuild the witness set at that value
-        for i in range(k):
-            if float(np.max(np.abs(reduced[i]))) == best:
-                e = np.zeros(k, dtype=np.int64)
-                e[i] = 1
-                found.append(e)
-    return best, found
-
-
-def _lagrange_2x2(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    m = b.astype(float).copy()
-    u = np.eye(2, dtype=np.int64)
-    for _ in range(64):
-        n0 = m[0] @ m[0]
-        n1 = m[1] @ m[1]
-        if n0 > n1:
-            m[[0, 1]] = m[[1, 0]]
-            u[[0, 1]] = u[[1, 0]]
-            n0, n1 = n1, n0
-        if n0 < SINGULAR_TOL:
-            raise ValueError("numerically singular basis")
-        q = round((m[1] @ m[0]) / n0)
-        if q == 0:
-            break
-        m[1] -= q * m[0]
-        u[1] -= q * u[0]
-    return m, u
+    visit(k - 1, 0.0, [0.0] * k, True)
+    cutoff = best * (1.0 + REFERENCE_SLACK)
+    scored: dict[tuple, float] = {}
+    for s, coeffs in leaves:
+        if s <= cutoff and coeffs not in scored:
+            scored[coeffs] = _exact_sup(coeffs, s, reduced)
+    delta = min(scored.values())
+    return delta, [c for c, s in scored.items() if s == delta]
 
 
 _2X2_COEFFS = ((1, 0), (0, 1), (1, 1), (1, -1))
@@ -199,7 +279,7 @@ def _shortest_2x2(m00: float, m01: float, m10: float, m11: float) -> tuple[float
     Returns (delta, c0, c1) with coefficients in the ORIGINAL basis.
     """
     u00, u01, u10, u11 = 1, 0, 0, 1
-    for _ in range(64):
+    for _ in range(LAGRANGE_ITERATION_LIMIT):
         n0 = m00 * m00 + m01 * m01
         n1 = m10 * m10 + m11 * m11
         if n0 > n1:
@@ -215,6 +295,10 @@ def _shortest_2x2(m00: float, m01: float, m10: float, m11: float) -> tuple[float
         m11 -= q * m01
         u10 -= q * u00
         u11 -= q * u01
+    else:
+        raise ReductionGuardError(
+            f"Lagrange reduction stopped after {LAGRANGE_ITERATION_LIMIT} iterations"
+        )
     best = -1.0
     bc0 = bc1 = 0
     for a, bq in _2X2_COEFFS:
@@ -250,33 +334,50 @@ def shortest_of_basis(basis: np.ndarray) -> tuple[float, np.ndarray]:
         return delta, np.array([c0, c1], dtype=np.int64)
     reduced, u = lll_reduce(b)
     delta, coeff_list = _enumerate_sup(reduced)
-    witnesses = [_canonical(c @ u) for c in coeff_list]
-    return delta, _lex_min(witnesses)
+    columns = list(zip(*u.tolist()))
+    witnesses = [
+        _canonical(tuple(sum(map(mul, c, col)) for col in columns)) for c in coeff_list
+    ]
+    return delta, np.array(min(witnesses), dtype=np.int64)
 
 
-_BRUTE_GRIDS: dict[tuple[int, int], np.ndarray] = {}
+def certified_box(basis: np.ndarray) -> tuple[int, ...]:
+    """Per-coefficient bounds that contain every sup-norm minimizer.
+
+    Writing v = c B, c_i = sum_j v_j (B^{-1})_{ji}, so |c_i| <= |v|_inf
+    |B^{-1}[:, i]|_1, and a minimizer has |v|_inf at most the smallest row
+    sup norm.  The relative inflation absorbs roundoff in the inverse.
+    """
+    b = np.asarray(basis, dtype=float)
+    s = float(np.min(np.max(np.abs(b), axis=1)))
+    columns = np.abs(np.linalg.inv(b)).sum(axis=0)
+    return tuple(int(math.floor(s * float(c) * (1.0 + 1e-9))) for c in columns)
 
 
-def _brute_grid(k: int, bound: int) -> np.ndarray:
-    key = (k, bound)
-    if key not in _BRUTE_GRIDS:
-        r = np.arange(-bound, bound + 1, dtype=np.int8 if bound < 127 else np.int64)
-        grids = np.meshgrid(*([r] * k), indexing="ij")
-        _BRUTE_GRIDS[key] = np.stack([g.ravel() for g in grids], axis=1)
-    return _BRUTE_GRIDS[key]
+@functools.lru_cache(maxsize=16)
+def _brute_grid(bounds: tuple[int, ...]) -> np.ndarray:
+    dtype = np.int8 if max(bounds) < 127 else np.int64
+    axes = [np.arange(-m, m + 1, dtype=dtype) for m in bounds]
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def brute_force_shortest(basis: np.ndarray, coeff_bound: int = 25) -> tuple[float, np.ndarray]:
-    """Oracle route: exhaustive search over the integer box |c_i| <= bound.
+def brute_force_shortest(
+    basis: np.ndarray, coeff_bound: int | None = None
+) -> tuple[float, np.ndarray]:
+    """Oracle route: exhaustive search over an integer coefficient box.
 
     Deliberately independent of the reduction-based path so the two can be
-    compared; only valid when some minimizer has coefficients in the box.
+    compared.  By default the box is ``certified_box(basis)``, which holds
+    every minimizer; an explicit ``coeff_bound`` searches |c_i| <= bound and
+    is only valid when some minimizer lies in that box.
     """
     b = np.asarray(basis, dtype=float)
     k = b.shape[0]
-    grid = _brute_grid(k, coeff_bound)
+    bounds = certified_box(b) if coeff_bound is None else (int(coeff_bound),) * k
+    grid = _brute_grid(bounds)
     best = math.inf
-    cands: list[np.ndarray] = []
+    cands: list[tuple] = []
     chunk = 1 << 20
     for lo in range(0, grid.shape[0], chunk):
         c = grid[lo : lo + chunk].astype(float)
@@ -288,8 +389,8 @@ def brute_force_shortest(basis: np.ndarray, coeff_bound: int = 25) -> tuple[floa
             cands = []
         if m == best:
             rows = grid[lo : lo + chunk][sup == best]
-            cands.extend(_canonical(r.astype(np.int64)) for r in rows)
-    return best, _lex_min(cands)
+            cands.extend(_canonical(tuple(int(v) for v in r)) for r in rows)
+    return best, np.array(min(cands), dtype=np.int64)
 
 
 def dual_basis(point) -> np.ndarray:

@@ -48,6 +48,16 @@ def test_walk_heights_dual_route():
             assert w2.height() == pytest.approx(wn.height(), abs=1e-7)
 
 
+def test_walker_lagrange_guard_raises(monkeypatch):
+    from khintchine_lab.excursion import _Walker2
+
+    basis = np.array([[89.0, 1.0], [144.0, 0.5]])
+    _Walker2(basis)
+    monkeypatch.setattr(excursion, "LAGRANGE_ITERATION_LIMIT", 2)
+    with pytest.raises(lattices.ReductionGuardError):
+        _Walker2(basis)
+
+
 def test_walk_heights_survive_long_trajectories():
     # direct matrices overflow near t ~ 1465; the reduced walker must not
     sys = ifs.cantor_product(1)
@@ -59,8 +69,9 @@ def test_walk_heights_survive_long_trajectories():
 
 
 def test_diagonal_heights_match_direct():
+    # t_36 stays below 10 for d <= 3, inside the faithful range 2t < 53 log 2
     rng = np.random.default_rng(9)
-    for d in (1, 2):
+    for d in (1, 2, 3):
         x = rng.random(d)
         grid = excursion.diagonal_heights(x, 1 / 3, 12, refine=3)
         spacing = flows.diag_time(1 / 3, d) / 3

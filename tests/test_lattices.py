@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from khintchine_lab import flows, lattices
@@ -121,13 +121,56 @@ def test_rational_points_climb_the_cusp():
     assert lp.delta == pytest.approx(4.0 * math.exp(-4.0), rel=1e-10)
 
 
+# largest coefficient box the brute-force oracle is asked to search
+BOX_POINTS_LIMIT = 2_000_000
+
+
+def box_points(box):
+    return math.prod(2 * m + 1 for m in box)
+
+
 @given(st.integers(0, 2**32 - 1))
+@example(245)  # minimizer (26, -5) lies outside a fixed |c| <= 25 box
 @settings(max_examples=40, deadline=None)
 def test_two_by_two_vs_enumeration(seed):
     rng = np.random.default_rng(seed)
     basis = rng.normal(size=(2, 2)) * math.exp(rng.normal())
-    if abs(np.linalg.det(basis)) < 1e-6:
-        return
+    assume(abs(np.linalg.det(basis)) >= 1e-6)
+    assume(box_points(lattices.certified_box(basis)) <= BOX_POINTS_LIMIT)
     d1, _ = lattices.shortest_of_basis(basis)
     d2, _ = lattices.brute_force_shortest(basis)
     assert d1 == pytest.approx(d2, rel=1e-9)
+
+
+def test_certified_vs_brute_force_at_k3_k4():
+    # the reduction-plus-enumeration route against the certified-box oracle on
+    # skewed lattices, where minimizers have large coefficients in the input basis
+    rng = np.random.default_rng(404)
+    checked = {3: 0, 4: 0}
+    while min(checked.values()) < 25:
+        k = int(rng.integers(3, 5))
+        g = flows.diagonal_point(rng.random(k - 1), rng.uniform(0.0, 3.0))
+        basis = random_unimodular(rng, k, shears=3).astype(float) @ lattices.dual_basis(g)
+        if box_points(lattices.certified_box(basis)) > BOX_POINTS_LIMIT:
+            continue
+        delta, _ = lattices.shortest_of_basis(basis)
+        brute, _ = lattices.brute_force_shortest(basis)
+        assert delta == pytest.approx(brute, rel=1e-12)
+        checked[k] += 1
+
+
+def test_lll_guard_raises(monkeypatch):
+    basis = np.array([[1.0, 0.0, 0.0], [7.3, 1.0, 0.0], [2.1, 5.7, 1.0]])
+    lattices.lll_reduce(basis)
+    monkeypatch.setattr(lattices, "LLL_ITERATION_LIMIT", 1)
+    with pytest.raises(lattices.ReductionGuardError):
+        lattices.lll_reduce(basis)
+
+
+def test_lagrange_guard_raises(monkeypatch):
+    # consecutive Fibonacci rows take many Lagrange steps
+    basis = np.array([[89.0, 1.0], [144.0, 0.5]])
+    lattices.shortest_of_basis(basis)
+    monkeypatch.setattr(lattices, "LAGRANGE_ITERATION_LIMIT", 2)
+    with pytest.raises(lattices.ReductionGuardError):
+        lattices.shortest_of_basis(basis)
