@@ -32,7 +32,7 @@ from .constants import (
     cover_hyperplane,
     varpi_of,
 )
-from .dani import ApproxFunction, RateFunction, classify_khintchine_series, classify_rate_series, equivalence_check, r_from_psi, t0_of
+from .dani import ApproxFunction, RateFunction, classify_khintchine_series, equivalence_check, r_from_psi, t0_of
 from .excursion import (
     diagonal_excursions,
     growth_bound_check,
@@ -45,7 +45,16 @@ from .scan import dani_cross_check, parse_point, scan_hits, survey
 
 _TOP_KEYS = {"command", "system", "seed", "workers", "output_dir", "parameters"}
 
-# parameter schema per command: name -> (caster, default)
+# the power-log psi of dani, approx and survey
+_PSI_SPEC = {
+    "psi_c": (float, 1.0),
+    "psi_a": (float, 1.0),
+    "psi_b": (float, 0.0),
+    "psi_x0": (float, 1.0),
+}
+
+# parameter schema per command: name -> (caster, default); each name is also
+# the command's flag, spelt with dashes
 _PARAM_SPECS = {
     "simulate": {
         "walks": (int, 50),
@@ -65,28 +74,20 @@ _PARAM_SPECS = {
     "dani": {
         "d": (int, 1),
         "alpha": (float, 0.5),
-        "psi_c": (float, 1.0),
-        "psi_a": (float, 1.0),
-        "psi_b": (float, 0.0),
-        "psi_x0": (float, 1.0),
+        **_PSI_SPEC,
         "grid": (list, [10.0, 20.0, 40.0, 60.0]),
     },
     "approx": {
         "x": (str, "1/2"),
-        "psi_c": (float, 1.0),
-        "psi_a": (float, 1.0),
-        "psi_b": (float, 0.0),
-        "psi_x0": (float, 1.0),
+        **_PSI_SPEC,
         "q_max": (int, 1000),
         "tol": (float, 1e-6),
     },
     "survey": {
         "count": (int, 1000),
         "q_max": (int, 10000),
-        "psi_c": (float, 1.0),
+        **_PSI_SPEC,
         "psi_a": (float, 1.5),
-        "psi_b": (float, 0.0),
-        "psi_x0": (float, 1.0),
         "depth": (int, None),
     },
     "constants": {
@@ -438,9 +439,7 @@ def _cmd_survey(cfg: ExperimentConfig, out_dir: str):
     path = os.path.join(out_dir, "survey.csv")
     _write_csv(path, ["band", "fraction", "n_uncertain"], rows)
     d = system.dimension
-    varpi = min(
-        float(d), math.log(system.alphabet_size) / -math.log(system.kappa)
-    )
+    varpi = system.default_varpi()
     verdicts = {
         "bands": len(stats),
         "fractions": [s.fraction for s in stats],
@@ -579,27 +578,17 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--system", help='IFS JSON file or builtin "cantor:d"')
 
 
-_FLAG_NAMES = {
-    "simulate": ["walks", "steps", "level", "m", "delta", "varpi", "burn-in"],
-    "excursions": ["points", "n-max", "level", "grid-refine"],
-    "dani": ["d", "alpha", "psi-c", "psi-a", "psi-b", "psi-x0", "grid"],
-    "approx": ["x", "psi-c", "psi-a", "psi-b", "psi-x0", "q-max", "tol"],
-    "survey": ["count", "q-max", "psi-c", "psi-a", "psi-b", "psi-x0", "depth"],
-    "constants": ["n-max", "l-values", "search-budget", "samples"],
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="khintchine-lab",
         description="fractal approximation experiments",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, flags in _FLAG_NAMES.items():
+    for command in _COMMANDS:
         sub = subs.add_parser(command)
         _add_common(sub)
-        for flag in flags:
-            sub.add_argument(f"--{flag}")
+        for name in _PARAM_SPECS[command]:
+            sub.add_argument("--" + name.replace("_", "-"))
     rep = subs.add_parser("report")
     rep.add_argument("run_dirs", nargs="*")
     rep.add_argument("--out", help="output directory")
@@ -625,15 +614,9 @@ def main(argv=None) -> int:
                     file_doc = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
-        flags = {
-            name.replace("-", "_"): getattr(args, name.replace("-", "_"))
-            for name in _FLAG_NAMES[args.command]
-        }
-        flags["seed"] = args.seed
-        flags["workers"] = args.workers
-        flags["out"] = args.out
-        flags["system"] = args.system
-        config = build_config(args.command, file_doc, flags)
+        # the parsed namespace holds every parameter flag plus seed, workers,
+        # out and system; build_config reads only those names
+        config = build_config(args.command, file_doc, vars(args))
         manifest = run(config)
         n_out = len(manifest.outputs)
         print(f"{config.output_dir}: {n_out} output file(s) written")

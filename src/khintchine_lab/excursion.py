@@ -1,4 +1,4 @@
-"""Return times, excursions, tail statistics and drift along trajectories.
+"""Return times, excursions and tail statistics along trajectories.
 
 Trajectories live on the space of lattices; the two sources are the random
 walk h_{s_n} ... h_{s_1} of a similarity system and the diagonal flow
@@ -18,7 +18,7 @@ import scipy.special
 import scipy.stats
 
 from .flows import diag_time, similarity_to_group
-from .ifs import IfsSystem, sample_fractal
+from .ifs import IfsSystem
 from .lattices import (
     LAGRANGE_ITERATION_LIMIT,
     SINGULAR_TOL,
@@ -26,7 +26,6 @@ from .lattices import (
     ReductionGuardError,
     _enumerate_sup,
     lll_reduce,
-    shortest_of_basis,
 )
 
 
@@ -87,18 +86,6 @@ class RateBudget:
     meets_target: bool
 
 
-@dataclass(frozen=True)
-class DriftEstimate:
-    a_hat: float
-    b_hat: float
-    a_ci: tuple[float, float]
-    b_ci: tuple[float, float]
-    beta_exp: float
-    m: int
-    n_points: int
-    samples: int
-
-
 # ---------------------------------------------------------------------------
 # reduced-basis trajectory walkers
 
@@ -144,6 +131,15 @@ class _Walker2:
         self.b11 = b10 * s01 + b11 * s11
         self._reduce()
 
+    def scale(self, factors):
+        # B @ diag(factors) with the products that are exact zeros left out
+        f0, f1 = factors.tolist()
+        self.b00 *= f0
+        self.b01 *= f1
+        self.b10 *= f0
+        self.b11 *= f1
+        self._reduce()
+
     def height(self) -> float:
         b00, b01, b10, b11 = self.b00, self.b01, self.b10, self.b11
         best = -1.0
@@ -175,16 +171,19 @@ class _WalkerN:
         return -math.log(delta)
 
 
-def _flat2(m: np.ndarray):
-    return (float(m[0, 0]), float(m[0, 1]), float(m[1, 0]), float(m[1, 1]))
+def _walker(basis):
+    """Plain-float Lagrange walker for a 2x2 basis, LLL walker otherwise."""
+    return _Walker2(basis) if len(basis) == 2 else _WalkerN(basis)
 
 
-def _step_inverses(sys: IfsSystem):
-    """Per-symbol matrices h_s^{-1}, the right factors of the dual basis walk."""
+def _step_inverses(sys: IfsSystem) -> list:
+    """Per-symbol matrices h_s^{-1}, the right factors of the dual basis walk,
+    in the form the walker ``_walker`` picks applies: flat float tuples for
+    the 2x2 walker."""
     invs = [similarity_to_group(m).inverse().matrix for m in sys.maps]
     if sys.dimension == 1:
-        return [_flat2(m) for m in invs], True
-    return invs, False
+        return [tuple(m.ravel().tolist()) for m in invs]
+    return invs
 
 
 def walk_heights(sys: IfsSystem, word: Sequence[int], start=None) -> np.ndarray:
@@ -198,8 +197,8 @@ def walk_heights(sys: IfsSystem, word: Sequence[int], start=None) -> np.ndarray:
     basis = np.eye(d + 1)
     if start is not None:
         basis[0, 1:] = np.asarray(start, dtype=float)
-    steps, flat = _step_inverses(sys)
-    walker = _Walker2(basis) if flat else _WalkerN(basis)
+    steps = _step_inverses(sys)
+    walker = _walker(basis)
     out = np.empty(word.size)
     for i, s in enumerate(word):
         walker.apply(steps[s])
@@ -215,18 +214,12 @@ def diagonal_heights(x, kappa: float, n_max: int, refine: int = 1) -> np.ndarray
     spacing = diag_time(kappa, d) / refine
     basis = np.eye(d + 1)
     basis[0, 1:] = x
-    if d == 1:
-        step = (math.exp(-spacing), 0.0, 0.0, math.exp(spacing))
-        walker = _Walker2(basis)
-        advance = walker.apply
-    else:
-        step = np.array([math.exp(-spacing)] + [math.exp(spacing / d)] * d)
-        walker = _WalkerN(basis)
-        advance = walker.scale
+    step = np.array([math.exp(-spacing)] + [math.exp(spacing / d)] * d)
+    walker = _walker(basis)
     out = np.empty(n_max * refine + 1)
     out[0] = walker.height()
     for j in range(1, out.size):
-        advance(step)
+        walker.scale(step)
         out[j] = walker.height()
     return out
 
@@ -368,11 +361,6 @@ def rate_budget(
     )
 
 
-def _default_varpi(sys: IfsSystem) -> float:
-    # similarity dimension, capped at d; exact for Cantor powers
-    return min(float(sys.dimension), math.log(sys.alphabet_size) / -math.log(sys.kappa))
-
-
 def tail_report(
     sys: IfsSystem,
     window: CompactWindow,
@@ -396,7 +384,7 @@ def tail_report(
         raise ValueError("walks, steps, m must be positive")
     if delta is None:
         budget = rate_budget(
-            sys.kappa, sys.dimension, varpi if varpi is not None else _default_varpi(sys),
+            sys.kappa, sys.dimension, varpi if varpi is not None else sys.default_varpi(),
             log_Cc=0.0, eps=0.5, m=m,
         )
         delta = budget.delta
@@ -404,15 +392,15 @@ def tail_report(
         raise ValueError("delta must be positive")
     rate = delta / m
     rng = np.random.default_rng(seed)
-    steps_mats, flat = _step_inverses(sys)
-    d = sys.dimension
+    steps_mats = _step_inverses(sys)
+    identity = np.eye(sys.dimension + 1)
     sigmas: list[np.ndarray] = []
     group_log_means: list[float] = []
     n_censored = 0
     total = burn_in + steps
     for _ in range(walks):
         word = rng.choice(sys.alphabet_size, size=total, p=sys.weights)
-        walker = _Walker2(np.eye(2)) if flat else _WalkerN(np.eye(d + 1))
+        walker = _walker(identity)
         heights = np.empty(total)
         for i, s in enumerate(word):
             walker.apply(steps_mats[s])
@@ -470,65 +458,3 @@ def tail_report(
         n_censored=n_censored,
     )
 
-
-def drift_estimate(
-    sys: IfsSystem,
-    beta_exp: float,
-    m: int,
-    samples: int,
-    seed: int,
-    n_points: int = 24,
-    t_spread: float = 3.0,
-) -> DriftEstimate:
-    """Affine fit of the averaged one-step drift of f(y) = Delta(y)^{-beta}.
-
-    Probes the contraction-inequality shape E_x[f(g_{kappa^m} u_x y)] <=
-    A f(y) + B with x drawn from the fractal measure; the f family itself is
-    a stand-in (sublevel heights, not a purpose-built Margulis function).
-    """
-    if beta_exp <= 0 or m < 1 or samples < 2 or n_points < 3:
-        raise ValueError("need beta_exp > 0, m >= 1, samples >= 2, n_points >= 3")
-    d = sys.dimension
-    rng = np.random.default_rng(seed)
-    anchors = sample_fractal(sys, n_points, seed=int(rng.integers(2**32)))
-    ts = np.linspace(0.0, t_spread, n_points)
-    t_flow = m * diag_time(sys.kappa, d)
-    g_inv = np.diag([math.exp(-t_flow)] + [math.exp(t_flow / d)] * d)
-    f_vals = np.empty(n_points)
-    e_vals = np.empty(n_points)
-    for i in range(n_points):
-        base = np.eye(d + 1)
-        base[0, 0] = math.exp(-ts[i])
-        base[0, 1:] = math.exp(ts[i] / d) * anchors[i]
-        for j in range(1, d + 1):
-            base[j, j] = math.exp(ts[i] / d)
-        delta, _ = shortest_of_basis(base)
-        f_vals[i] = delta**-beta_exp
-        draws = sample_fractal(sys, samples, seed=int(rng.integers(2**32)))
-        acc = 0.0
-        for x in draws:
-            u_inv = np.eye(d + 1)
-            u_inv[0, 1:] = x
-            stepped = base @ u_inv @ g_inv
-            sd, _ = shortest_of_basis(stepped)
-            acc += sd**-beta_exp
-        e_vals[i] = acc / samples
-    if np.allclose(f_vals, f_vals[0]):
-        raise ValueError("degenerate sample: all f values equal")
-    fit = scipy.stats.linregress(f_vals, e_vals)
-    tcrit = float(scipy.stats.t.ppf(0.975, n_points - 2))
-    a_hat = float(fit.slope)
-    b_hat = float(fit.intercept)
-    return DriftEstimate(
-        a_hat=a_hat,
-        b_hat=b_hat,
-        a_ci=(a_hat - tcrit * float(fit.stderr), a_hat + tcrit * float(fit.stderr)),
-        b_ci=(
-            b_hat - tcrit * float(fit.intercept_stderr),
-            b_hat + tcrit * float(fit.intercept_stderr),
-        ),
-        beta_exp=beta_exp,
-        m=m,
-        n_points=n_points,
-        samples=samples,
-    )

@@ -100,57 +100,6 @@ def identity(d: int) -> GroupElement:
     return GroupElement(np.eye(d + 1))
 
 
-@dataclass(frozen=True)
-class FlowElement:
-    """Tagged one-parameter element: diag(t), unipotent(alpha), rotation(O),
-    or gt(u) = diag(-d log(u)/(d+1))."""
-
-    kind: str
-    parameter: object
-    dimension: int
-
-    _KINDS = ("diag", "unipotent", "rotation", "gt")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"kind must be one of {self._KINDS}")
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
-
-    @classmethod
-    def diag(cls, t: float, d: int) -> "FlowElement":
-        return cls("diag", float(t), d)
-
-    @classmethod
-    def unipotent(cls, alpha) -> "FlowElement":
-        alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-        return cls("unipotent", _freeze(alpha), alpha.size)
-
-    @classmethod
-    def rotation(cls, orth) -> "FlowElement":
-        orth = np.atleast_2d(np.asarray(orth, dtype=float))
-        d = orth.shape[0]
-        if np.max(np.abs(orth @ orth.T - np.eye(d))) > 1e-12:
-            raise ValueError("rotation block must be orthogonal")
-        return cls("rotation", _freeze(orth), d)
-
-    @classmethod
-    def gt(cls, u: float, d: int) -> "FlowElement":
-        if u <= 0:
-            raise ValueError("multiplicative time must be positive")
-        return cls("gt", float(u), d)
-
-    def group(self) -> GroupElement:
-        d = self.dimension
-        if self.kind == "diag":
-            return diag_element(self.parameter, d)
-        if self.kind == "unipotent":
-            return unipotent_element(self.parameter)
-        if self.kind == "rotation":
-            return rotation_element(self.parameter)
-        return diag_element(-d * math.log(self.parameter) / (d + 1), d)
-
-
 def diag_element(t: float, d: int) -> GroupElement:
     """a_t = diag(e^t, e^{-t/d} I_d)."""
     entries = np.full(d + 1, math.exp(-t / d))
@@ -171,6 +120,8 @@ def rotation_element(orth) -> GroupElement:
     """blockdiag(1, O); O must be special orthogonal to stay in SL."""
     orth = np.atleast_2d(np.asarray(orth, dtype=float))
     d = orth.shape[0]
+    if np.max(np.abs(orth @ orth.T - np.eye(d))) > 1e-12:
+        raise ValueError("rotation block must be orthogonal")
     m = np.eye(d + 1)
     m[1:, 1:] = orth
     return GroupElement(m)
@@ -247,63 +198,35 @@ def similarity_to_group(phi: SimilarityMap) -> GroupElement:
     return assemble_P(t, phi.rotation, phi.translation)
 
 
-@dataclass(frozen=True)
-class WalkStep:
-    symbol: int
-    element: GroupElement
-    diag_time: float
+def walk_steps(sys: IfsSystem) -> tuple[GroupElement, ...]:
+    """The per-symbol elements h_s, indexed by symbol."""
+    return tuple(similarity_to_group(m) for m in sys.maps)
 
 
-def walk_steps(sys: IfsSystem) -> tuple[WalkStep, ...]:
-    t = diag_time(sys.kappa, sys.dimension)
-    return tuple(
-        WalkStep(symbol=s, element=similarity_to_group(m), diag_time=t)
-        for s, m in enumerate(sys.maps)
-    )
-
-
-def _check_word(steps: Sequence[WalkStep], word) -> np.ndarray:
+def _check_word(steps: Sequence[GroupElement], word) -> np.ndarray:
     w = np.atleast_1d(np.asarray(word, dtype=int))
     if w.size and (w.min() < 0 or w.max() >= len(steps)):
         raise ValueError("word contains symbols outside the alphabet")
     return w
 
 
-def walk_matrix(steps: Sequence[WalkStep], word, compensated: bool = False) -> GroupElement:
-    """Ordered product h_{s_n} ... h_{s_1} for word (s_1, ..., s_n).
-
-    ``compensated`` switches matrix accumulation to exactly rounded entry
-    sums (math.fsum); worth it only for n in the thousands.
-    """
+def walk_matrix(steps: Sequence[GroupElement], word) -> GroupElement:
+    """Ordered product h_{s_n} ... h_{s_1} for word (s_1, ..., s_n)."""
     w = _check_word(steps, word)
     if w.size == 0:
-        d = steps[0].element.dimension
-        return identity(d)
-    out = steps[w[0]].element
-    if not compensated:
-        for s in w[1:]:
-            out = steps[s].element @ out
-        return out
-    acc = out.matrix.copy()
-    k = acc.shape[0]
+        return identity(steps[0].dimension)
+    out = steps[w[0]]
     for s in w[1:]:
-        left = steps[s].element.matrix
-        nxt = np.empty_like(acc)
-        for i in range(k):
-            for j in range(k):
-                nxt[i, j] = math.fsum(left[i, m] * acc[m, j] for m in range(k))
-        if np.max(np.abs(nxt)) > ENTRY_OVERFLOW:
-            raise TrajectoryOverflowError("matrix entries exceed 1e300")
-        acc = nxt
-    return GroupElement(acc)
+        out = steps[s] @ out
+    return out
 
 
-def walk_products(steps: Sequence[WalkStep], word) -> Iterator[GroupElement]:
+def walk_products(steps: Sequence[GroupElement], word) -> Iterator[GroupElement]:
     """Yields the prefix products h_{s_1}, h_{s_2}h_{s_1}, ... lazily."""
     w = _check_word(steps, word)
     out = None
     for s in w:
-        out = steps[s].element if out is None else steps[s].element @ out
+        out = steps[s] if out is None else steps[s] @ out
         yield out
 
 

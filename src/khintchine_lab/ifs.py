@@ -132,6 +132,10 @@ class IfsSystem:
     def alphabet_size(self) -> int:
         return len(self.maps)
 
+    def default_varpi(self) -> float:
+        """Similarity dimension, capped at d; exact for Cantor powers."""
+        return min(float(self.dimension), math.log(self.alphabet_size) / -math.log(self.kappa))
+
     def base_point(self) -> np.ndarray:
         """Default coding base: the fixed point of the first map."""
         return self.maps[0].fixed_point()

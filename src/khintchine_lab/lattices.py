@@ -411,24 +411,3 @@ def height(point) -> float:
 def in_window(point, window: CompactWindow) -> bool:
     return window.contains_height(height(point))
 
-
-@dataclass(frozen=True)
-class LatticePoint:
-    element: GroupElement
-    dual_basis: np.ndarray
-    delta: float
-    height: float
-    witness: np.ndarray
-
-
-def lattice_point(point) -> LatticePoint:
-    g = point if isinstance(point, GroupElement) else GroupElement(point)
-    basis = dual_basis(g)
-    delta, witness = shortest_of_basis(basis)
-    return LatticePoint(
-        element=g,
-        dual_basis=basis,
-        delta=delta,
-        height=-math.log(delta),
-        witness=witness,
-    )

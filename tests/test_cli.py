@@ -63,6 +63,40 @@ def test_grid_flag_and_env_workers(monkeypatch):
     assert build_config("dani", None, {"workers": 2}).workers == 2
 
 
+# one flag value per caster, and the parameter value it must arrive as
+FLAG_VALUES = {int: ("7", 7), float: ("0.25", 0.25), str: ("3/7", "3/7"), list: ("5,15", ["5", "15"])}
+
+
+def test_every_spec_parameter_is_a_flag(monkeypatch, tmp_path, capsys):
+    captured = []
+
+    def fake_run(config):
+        captured.append(config)
+        return cli.RunManifest(config.command, "", {}, "", "", {}, {})
+
+    monkeypatch.setattr(cli, "run", fake_run)
+    out = str(tmp_path / "out")
+    common = ["--seed", "5", "--workers", "2", "--out", out, "--system", "cantor:2"]
+    for command, spec in cli._PARAM_SPECS.items():
+        if command == "report":  # takes its run dirs positionally, builds no config
+            continue
+        for name, (caster, default) in spec.items():
+            flag, expected = FLAG_VALUES[caster]
+            argv = [command, "--" + name.replace("_", "-"), flag] + common
+            assert cli.main(argv) == 0, argv
+            cfg = captured.pop()
+            assert cfg.command == command
+            assert cfg.parameters[name] == expected, argv
+            others = {k: v for k, v in cfg.parameters.items() if k != name}
+            assert others == {k: d for k, (_, d) in spec.items() if k != name}
+            assert (cfg.seed, cfg.workers, cfg.output_dir, cfg.system) == (5, 2, out, "cantor:2")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--colour", "red"])
+    assert exc.value.code == 2
+    assert "colour" in capsys.readouterr().err
+
+
 def test_resolve_system_builtin_and_file(tmp_path):
     assert cli.resolve_system("cantor:2").dimension == 2
     path = str(tmp_path / "sys.json")

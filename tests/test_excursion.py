@@ -34,7 +34,7 @@ def test_walk_heights_dual_route():
 
     sys = ifs.cantor_product(1)
     rng = np.random.default_rng(13)
-    flat_steps, _ = _step_inverses(sys)
+    flat_steps = _step_inverses(sys)
     mats = [np.array(s).reshape(2, 2) for s in flat_steps]
     for _ in range(30):
         word = rng.integers(0, 2, size=14)
@@ -222,19 +222,6 @@ def test_tail_report_needs_window_visits():
     # level so deep that no walk ever reaches the window
     with pytest.raises(excursion.NoWindowDataError):
         excursion.tail_report(sys, lattices.CompactWindow(-50.0), walks=3, steps=50, seed=0)
-
-
-def test_drift_estimate_reports_contraction():
-    # a_hat can sit at or below zero when contraction dominates the fit, so
-    # only the interval structure and the positive offset are load-bearing
-    sys = ifs.cantor_product(1)
-    de = excursion.drift_estimate(sys, beta_exp=0.4, m=4, samples=300, seed=2)
-    assert de.a_ci[0] <= de.a_hat <= de.a_ci[1]
-    assert de.b_ci[0] <= de.b_hat <= de.b_ci[1]
-    assert de.a_hat < 1.0
-    assert de.b_hat > 0
-    assert np.isfinite(de.a_hat) and np.isfinite(de.b_hat)
-    assert de.samples == 300
 
 
 def test_walk_and_matrix_agree_through_window_logic():

@@ -31,6 +31,14 @@ CLI_CASES = {
     "simulate_cantor1": ("simulate", "cantor:1", {"walks": 4, "steps": 300, "level": 3.0}),
     "approx_d2_rational": ("approx", "cantor:1", {"x": "3/7,5/11", "q_max": 200}),
     "approx_d2_float": ("approx", "cantor:1", {"x": "golden,0.3", "q_max": 200}),
+    "dani_d2": ("dani", "cantor:1", {"d": 2, "psi_b": 1.0}),
+    "survey_cantor2": ("survey", "cantor:2", {"count": 40, "q_max": 256}),
+    "constants_cantor2": (
+        "constants", "cantor:2", {"n_max": 3, "samples": 2000, "search_budget": 10}
+    ),
+    "excursions_cantor1": (
+        "excursions", "cantor:1", {"points": 2, "n_max": 200, "level": 3.0, "grid_refine": 4}
+    ),
 }
 
 
@@ -73,6 +81,8 @@ def _kernel_digests() -> dict:
     sys3 = ifs.cantor_product(3)
     word = np.random.default_rng(2).integers(0, sys3.alphabet_size, size=300)
     out["walk_heights_d3"] = _sha(excursion.walk_heights(sys3, word).tobytes())
+    x1 = np.random.default_rng(3).random(1)
+    out["diagonal_heights_d1"] = _sha(excursion.diagonal_heights(x1, 1 / 3, 400, refine=4).tobytes())
     return out
 
 

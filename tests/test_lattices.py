@@ -27,9 +27,9 @@ def test_known_point_half():
     # x = 1/2 at the balance time t* = log(2)/2: both active entries hit 2^{-1/2}
     t_star = math.log(2.0) / 2.0
     g = flows.diagonal_point(np.array([0.5]), t_star)
-    lp = lattices.lattice_point(g)
-    assert lp.delta == pytest.approx(math.sqrt(0.5), abs=1e-12)
-    assert lp.height == pytest.approx(t_star, abs=1e-12)
+    delta, _ = lattices.shortest_vector(g)
+    assert delta == pytest.approx(math.sqrt(0.5), abs=1e-12)
+    assert lattices.height(g) == pytest.approx(t_star, abs=1e-12)
 
 
 def test_time_zero_is_height_zero():
@@ -116,9 +116,9 @@ def test_window_membership():
 def test_rational_points_climb_the_cusp():
     # at x = p/q the vector (q, qx - p) collapses, so height grows like t
     g = flows.diagonal_point(np.array([0.25]), 4.0)
-    lp = lattices.lattice_point(g)
+    delta, _ = lattices.shortest_vector(g)
     # shortest vector is (4 e^{-t}, 0): delta = 4 e^{-4}
-    assert lp.delta == pytest.approx(4.0 * math.exp(-4.0), rel=1e-10)
+    assert delta == pytest.approx(4.0 * math.exp(-4.0), rel=1e-10)
 
 
 # largest coefficient box the brute-force oracle is asked to search
