@@ -91,7 +91,8 @@ class RateBudget:
 
 
 class _Walker2:
-    """2x2 working basis in plain floats; Lagrange-reduced after every step."""
+    """2x2 working basis in plain floats for diagonal rides; Lagrange-reduced
+    after every step."""
 
     __slots__ = ("b00", "b01", "b10", "b11")
 
@@ -120,16 +121,6 @@ class _Walker2:
                 f"Lagrange reduction stopped after {LAGRANGE_ITERATION_LIMIT} iterations"
             )
         self.b00, self.b01, self.b10, self.b11 = b00, b01, b10, b11
-
-    def apply(self, s):
-        s00, s01, s10, s11 = s
-        b00, b01 = self.b00, self.b01
-        b10, b11 = self.b10, self.b11
-        self.b00 = b00 * s00 + b01 * s10
-        self.b01 = b00 * s01 + b01 * s11
-        self.b10 = b10 * s00 + b11 * s10
-        self.b11 = b10 * s01 + b11 * s11
-        self._reduce()
 
     def scale(self, factors):
         # B @ diag(factors) with the products that are exact zeros left out
@@ -171,39 +162,90 @@ class _WalkerN:
         return -math.log(delta)
 
 
-def _walker(basis):
-    """Plain-float Lagrange walker for a 2x2 basis, LLL walker otherwise."""
-    return _Walker2(basis) if len(basis) == 2 else _WalkerN(basis)
-
-
 def _step_inverses(sys: IfsSystem) -> list:
-    """Per-symbol matrices h_s^{-1}, the right factors of the dual basis walk,
-    in the form the walker ``_walker`` picks applies: flat float tuples for
-    the 2x2 walker."""
-    invs = [similarity_to_group(m).inverse().matrix for m in sys.maps]
-    if sys.dimension == 1:
-        return [tuple(m.ravel().tolist()) for m in invs]
-    return invs
+    """Per-symbol matrices h_s^{-1}, the right factors of the dual basis walk."""
+    return [similarity_to_group(m).inverse().matrix for m in sys.maps]
 
 
-def walk_heights(sys: IfsSystem, word: Sequence[int], start=None) -> np.ndarray:
+def _lagrange_reduce(b: np.ndarray) -> np.ndarray:
+    """Lagrange-reduce every walk of a [row, column, walk] basis array,
+    overwriting it where no swap is needed.
+
+    Each pass is the scalar 2x2 loop's float arithmetic applied elementwise
+    (``np.rint`` rounds half to even like ``round``), so each walk gets the
+    floats it would get alone: a converged walk is left as it is by further
+    passes (no swap, q = 0 again), and the pass limit trips exactly when one
+    walk needs more than ``LAGRANGE_ITERATION_LIMIT`` iterations.
+    """
+    for _ in range(LAGRANGE_ITERATION_LIMIT):
+        sq = b * b
+        n0, n1 = sq[:, 0] + sq[:, 1]
+        swap = n0 > n1
+        # count_nonzero is the cheapest any() on small arrays
+        if np.count_nonzero(swap):
+            b = np.where(swap, b[::-1], b)
+            n0 = np.minimum(n0, n1)
+        if np.count_nonzero(n0 < SINGULAR_TOL):
+            raise ValueError("numerically singular basis")
+        p = b[1] * b[0]
+        q = np.rint((p[0] + p[1]) / n0)
+        # round() raises on nan and inf; np.rint passes them through
+        if np.count_nonzero(np.isfinite(q)) < q.size:
+            raise ValueError("non-finite Lagrange coefficient")
+        if not np.count_nonzero(q):
+            return b
+        b[1] -= q * b[0]
+    raise ReductionGuardError(
+        f"Lagrange reduction stopped after {LAGRANGE_ITERATION_LIMIT} iterations"
+    )
+
+
+def _lagrange_walks(bases: np.ndarray, steps: list, words: np.ndarray) -> np.ndarray:
+    """Heights of d=1 walks advanced in lockstep, one walk per row of
+    ``words``, each from its own 2x2 basis: the floats of ``_Walker2``
+    (reduce the start, then step and reduce) for every walk.  Heights go
+    through ``math.log``; ``np.log`` can differ in the last bit."""
+    b = _lagrange_reduce(np.moveaxis(bases, 0, -1).copy())
+    table = np.moveaxis(np.array(steps, dtype=float), 0, -1)
+    heights = np.empty(words.shape)
+    for i in range(words.shape[1]):
+        s = table.take(words[:, i], axis=2)
+        b = _lagrange_reduce(b[:, 0:1] * s[0] + b[:, 1:2] * s[1])
+        # sup norms of the candidates (1,0), (0,1), (1,1), (1,-1)
+        cand = np.abs(np.concatenate((b, b[0:1] + b[1:2], b[0:1] - b[1:2])))
+        heights[:, i] = cand.max(axis=1).min(axis=0)
+    # one walk at a time keeps the Python floats of math.log few
+    for row in heights:
+        row[:] = np.fromiter(map(math.log, row.tolist()), float, row.size)
+    return np.negative(heights, out=heights)
+
+
+def walk_heights(sys: IfsSystem, word: Sequence[int] | np.ndarray, start=None) -> np.ndarray:
     """Heights l(h_{b_1^n} u_start) for n = 1..len(word).
 
-    The working basis follows B <- B h_s^{-1} with re-reduction, so the
-    answer is exact while entries stay bounded by the excursion scale.
+    ``word`` is one word, or a ``(walks, n)`` array with one word per row
+    (then the result has the same shape); ``start`` is one point of R^d or
+    one per row.  The working basis follows B <- B h_s^{-1} with
+    re-reduction, so the answer is exact while entries stay bounded by the
+    excursion scale.  At d = 1 all rows advance in lockstep.
     """
-    word = np.asarray(word, dtype=int)
+    words = np.asarray(word, dtype=int)
+    rows = np.atleast_2d(words)
     d = sys.dimension
-    basis = np.eye(d + 1)
+    bases = np.tile(np.eye(d + 1), (rows.shape[0], 1, 1))
     if start is not None:
-        basis[0, 1:] = np.asarray(start, dtype=float)
+        bases[:, 0, 1:] = np.asarray(start, dtype=float)
     steps = _step_inverses(sys)
-    walker = _walker(basis)
-    out = np.empty(word.size)
-    for i, s in enumerate(word):
-        walker.apply(steps[s])
-        out[i] = walker.height()
-    return out
+    if d == 1:
+        out = _lagrange_walks(bases, steps, rows)
+    else:
+        out = np.empty(rows.shape)
+        for heights, basis, row in zip(out, bases, rows):
+            walker = _WalkerN(basis)
+            for i, s in enumerate(row):
+                walker.apply(steps[s])
+                heights[i] = walker.height()
+    return out.reshape(words.shape)
 
 
 def diagonal_heights(x, kappa: float, n_max: int, refine: int = 1) -> np.ndarray:
@@ -215,7 +257,7 @@ def diagonal_heights(x, kappa: float, n_max: int, refine: int = 1) -> np.ndarray
     basis = np.eye(d + 1)
     basis[0, 1:] = x
     step = np.array([math.exp(-spacing)] + [math.exp(spacing / d)] * d)
-    walker = _walker(basis)
+    walker = _Walker2(basis) if d == 1 else _WalkerN(basis)
     out = np.empty(n_max * refine + 1)
     out[0] = walker.height()
     for j in range(1, out.size):
@@ -382,6 +424,8 @@ def tail_report(
     """
     if walks < 1 or steps < 1 or m < 1:
         raise ValueError("walks, steps, m must be positive")
+    if burn_in < 0:
+        raise ValueError("burn_in must be nonnegative")
     if delta is None:
         budget = rate_budget(
             sys.kappa, sys.dimension, varpi if varpi is not None else sys.default_varpi(),
@@ -392,19 +436,14 @@ def tail_report(
         raise ValueError("delta must be positive")
     rate = delta / m
     rng = np.random.default_rng(seed)
-    steps_mats = _step_inverses(sys)
-    identity = np.eye(sys.dimension + 1)
+    total = burn_in + steps
+    words = np.empty((walks, total), dtype=np.intp)
+    for word in words:
+        word[:] = rng.choice(sys.alphabet_size, size=total, p=sys.weights)
     sigmas: list[np.ndarray] = []
     group_log_means: list[float] = []
     n_censored = 0
-    total = burn_in + steps
-    for _ in range(walks):
-        word = rng.choice(sys.alphabet_size, size=total, p=sys.weights)
-        walker = _walker(identity)
-        heights = np.empty(total)
-        for i, s in enumerate(word):
-            walker.apply(steps_mats[s])
-            heights[i] = walker.height()
+    for heights in walk_heights(sys, words):
         visits = np.flatnonzero(heights <= window.level)
         anchors = visits[visits >= burn_in]
         if anchors.size == 0:

@@ -26,26 +26,130 @@ def test_walk_heights_match_direct_lattice_heights():
 
 
 def test_walk_heights_dual_route():
-    # the inline Lagrange walker and the generic LLL walker are independent
+    # the lockstep Lagrange kernel and the generic LLL walker are independent
     # reduction routes and must agree pointwise.  Comparison stays inside the
     # Lyapunov horizon (rounding amplifies by 1/kappa per step, so any float
     # route is a pseudo-orbit past n ~ 53 log2/log3); many words instead.
-    from khintchine_lab.excursion import _step_inverses, _Walker2, _WalkerN
+    from khintchine_lab.excursion import _step_inverses, _WalkerN
 
     sys = ifs.cantor_product(1)
     rng = np.random.default_rng(13)
-    flat_steps = _step_inverses(sys)
-    mats = [np.array(s).reshape(2, 2) for s in flat_steps]
-    for _ in range(30):
-        word = rng.integers(0, 2, size=14)
+    mats = _step_inverses(sys)
+    words = rng.integers(0, 2, size=(30, 14))
+    starts = rng.random((30, 1))
+    hs = excursion.walk_heights(sys, words, start=starts)
+    for heights, word, x in zip(hs, words, starts):
         basis = np.eye(2)
-        basis[0, 1] = rng.random()
-        w2 = _Walker2(basis)
+        basis[0, 1] = x[0]
         wn = _WalkerN(basis)
-        for s in word:
-            w2.apply(flat_steps[s])
+        for h, s in zip(heights, word):
             wn.apply(mats[s])
-            assert w2.height() == pytest.approx(wn.height(), abs=1e-7)
+            assert h == pytest.approx(wn.height(), abs=1e-7)
+
+
+def _passes_needed(monkeypatch, sys, word, start):
+    """Smallest Lagrange pass limit under which the walk runs alone."""
+    for limit in range(1, lattices.LAGRANGE_ITERATION_LIMIT + 1):
+        monkeypatch.setattr(excursion, "LAGRANGE_ITERATION_LIMIT", limit)
+        try:
+            excursion.walk_heights(sys, word, start=start)
+        except lattices.ReductionGuardError:
+            continue
+        return limit
+    raise AssertionError("walk needs more passes than the module limit")
+
+
+def _scalar_walk(sys, word, x):
+    """Reference loop: the plain-float 2x2 walker, one step at a time."""
+    steps = [m.tolist() for m in excursion._step_inverses(sys)]
+    w = excursion._Walker2([[1.0, x], [0.0, 1.0]])
+    out = []
+    for s in word:
+        (s00, s01), (s10, s11) = steps[s]
+        w.b00, w.b01, w.b10, w.b11 = (
+            w.b00 * s00 + w.b01 * s10,
+            w.b00 * s01 + w.b01 * s11,
+            w.b10 * s00 + w.b11 * s10,
+            w.b10 * s01 + w.b11 * s11,
+        )
+        w._reduce()
+        out.append(w.height())
+    return out
+
+
+def test_lockstep_rows_match_walks_run_alone(monkeypatch):
+    # a batch must give every row the floats of that row alone and of the
+    # scalar loop: starts with exact half-integer Lagrange ties (round half
+    # to even), a constant word, rows whose worst step needs different
+    # numbers of passes
+    sys = ifs.cantor_product(1)
+    rng = np.random.default_rng(31)
+    starts = np.array([[0.0], [0.5], [2.5], [-1.5], [7.25], [1 / 3], [rng.random()], [1e6 * rng.random()]])
+    words = rng.integers(0, 2, size=(starts.shape[0], 120))
+    words[1] = 1
+    batch = excursion.walk_heights(sys, words, start=starts)
+    assert batch.shape == words.shape
+    for row, word, x in zip(batch, words, starts):
+        np.testing.assert_array_equal(row, excursion.walk_heights(sys, word, start=x))
+        np.testing.assert_array_equal(row, _scalar_walk(sys, word, x[0]))
+    needed = {_passes_needed(monkeypatch, sys, word[:20], x) for word, x in zip(words, starts)}
+    assert len(needed) > 1
+
+
+def test_walk_heights_rows_at_d2():
+    # at d >= 2 the rows of a batch run one after another through _WalkerN
+    sys = ifs.cantor_product(2)
+    rng = np.random.default_rng(32)
+    words = rng.integers(0, sys.alphabet_size, size=(3, 30))
+    starts = rng.random((3, 2))
+    batch = excursion.walk_heights(sys, words, start=starts)
+    for row, word, x in zip(batch, words, starts):
+        np.testing.assert_array_equal(row, excursion.walk_heights(sys, word, start=x))
+
+
+def test_lockstep_reduce_matches_scalar_lagrange():
+    # lockstep passes against the scalar loop of _Walker2 (Python's round):
+    # exact half-integer ties, skewed bases needing many passes, random ones
+    from khintchine_lab.excursion import _lagrange_reduce, _Walker2
+
+    rng = np.random.default_rng(8)
+    bases = np.concatenate((
+        [[[1.0, 0.0], [2.5, 1.0]], [[1.0, 0.0], [-1.5, 1.0]], [[1.0, 0.0], [0.5, 3.0]]],
+        [[[89.0, 1.0], [144.0, 0.5]], [[1.0, 1e-3], [1e4 + 0.5, 0.0]]],
+        rng.normal(size=(20, 2, 2)),
+        rng.normal(size=(10, 2, 2)) * [[1e3], [1.0]],
+    ))
+    reduced = _lagrange_reduce(np.moveaxis(bases, 0, -1).copy())
+    for k, basis in enumerate(bases):
+        w = _Walker2(basis)
+        np.testing.assert_array_equal(reduced[..., k], [[w.b00, w.b01], [w.b10, w.b11]])
+
+
+def test_lockstep_guard_raises(monkeypatch):
+    sys = ifs.cantor_product(1)
+    words = np.random.default_rng(4).integers(0, 2, size=(5, 40))
+    excursion.walk_heights(sys, words)
+    monkeypatch.setattr(excursion, "LAGRANGE_ITERATION_LIMIT", 1)
+    with pytest.raises(lattices.ReductionGuardError):
+        excursion.walk_heights(sys, words)
+
+
+def test_lockstep_singular_basis_raises():
+    # one healthy walk next to one whose rows are equal
+    bases = np.array([[[1.0, 0.3], [0.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]])
+    steps = excursion._step_inverses(ifs.cantor_product(1))
+    with pytest.raises(ValueError, match="singular"):
+        excursion._lagrange_walks(bases, steps, np.zeros((2, 3), dtype=int))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_lockstep_non_finite_coefficient_raises():
+    # round() raises on nan and inf, np.rint would carry them on silently
+    sys = ifs.cantor_product(1)
+    words = np.zeros((3, 5), dtype=int)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            excursion.walk_heights(sys, words, start=[[0.2], [bad], [0.7]])
 
 
 def test_walker_lagrange_guard_raises(monkeypatch):
@@ -215,6 +319,18 @@ def test_tail_report_deterministic():
     b = excursion.tail_report(sys, lattices.CompactWindow(3.0), walks=10, steps=400, seed=8)
     np.testing.assert_array_equal(a.empirical_tail, b.empirical_tail)
     assert a.theta_hat == b.theta_hat
+
+
+def test_tail_report_rejects_negative_burn_in(tmp_path, capsys):
+    # a negative burn-in would count every visit as an anchor
+    from khintchine_lab import cli
+
+    sys = ifs.cantor_product(1)
+    with pytest.raises(ValueError, match="burn_in"):
+        excursion.tail_report(sys, lattices.CompactWindow(3.0), walks=2, steps=50, seed=0, burn_in=-1)
+    argv = ["simulate", "--walks", "2", "--steps", "50", "--burn-in", "-1", "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert "burn_in" in capsys.readouterr().err
 
 
 def test_tail_report_needs_window_visits():

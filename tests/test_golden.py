@@ -83,6 +83,23 @@ def _kernel_digests() -> dict:
     out["walk_heights_d3"] = _sha(excursion.walk_heights(sys3, word).tobytes())
     x1 = np.random.default_rng(3).random(1)
     out["diagonal_heights_d1"] = _sha(excursion.diagonal_heights(x1, 1 / 3, 400, refine=4).tobytes())
+    sys1 = ifs.cantor_product(1)
+    rng1 = np.random.default_rng(4)
+    word = rng1.integers(0, sys1.alphabet_size, size=2500)
+    out["walk_heights_d1"] = _sha(excursion.walk_heights(sys1, word, start=rng1.random(1)).tobytes())
+    # starts whose basis the first Lagrange pass changes (q != 0), and a tie
+    h = hashlib.sha256()
+    rng1 = np.random.default_rng(6)
+    for x in (0.8, 2.5, -1.5, 7.3 + rng1.random()):
+        word = rng1.integers(0, sys1.alphabet_size, size=500)
+        h.update(excursion.walk_heights(sys1, word, start=[x]).tobytes())
+    out["walk_heights_d1_starts"] = h.hexdigest()
+    rep = excursion.tail_report(sys1, lattices.CompactWindow(3.0), walks=40, steps=1000, seed=5)
+    h = hashlib.sha256(rep.empirical_tail.tobytes())
+    h.update(rep.chebyshev_bound.tobytes())
+    h.update(np.float64(rep.theta_hat).tobytes())
+    h.update(np.int64(rep.n_censored).tobytes())
+    out["tail_report_d1"] = h.hexdigest()
     return out
 
 
