@@ -39,6 +39,9 @@ CLI_CASES = {
     "excursions_cantor1": (
         "excursions", "cantor:1", {"points": 2, "n_max": 200, "level": 3.0, "grid_refine": 4}
     ),
+    # dani_cross_check runs shortest_of_basis on 2x2 bases
+    "approx_d1_rational": ("approx", "cantor:1", {"x": "3/7", "q_max": 200}),
+    "approx_d1_golden": ("approx", "cantor:1", {"x": "golden", "q_max": 200}),
 }
 
 
@@ -100,6 +103,19 @@ def _kernel_digests() -> dict:
     h.update(np.float64(rep.theta_hat).tobytes())
     h.update(np.int64(rep.n_censored).tobytes())
     out["tail_report_d1"] = h.hexdigest()
+    # cold 2x2 bases, and starts whose first Lagrange step is an exact tie
+    h = hashlib.sha256()
+    rng1 = np.random.default_rng(8)
+    bases = [
+        lattices.dual_basis(flows.diagonal_point(rng1.random(1), rng1.uniform(0.0, 12.0)))
+        for _ in range(80)
+    ]
+    bases += [np.array([[1.0, x], [0.0, 1.0]]) for x in (0.5, 2.5, -1.5)]
+    for basis in bases:
+        delta, witness = lattices.shortest_of_basis(basis)
+        h.update(np.float64(delta).tobytes())
+        h.update(witness.astype(np.int64).tobytes())
+    out["shortest_of_basis_d1"] = h.hexdigest()
     return out
 
 
