@@ -19,14 +19,11 @@ import scipy.stats
 
 from .flows import diag_time, similarity_to_group
 from .ifs import IfsSystem
-from .lattices import (
-    LAGRANGE_ITERATION_LIMIT,
-    SINGULAR_TOL,
-    CompactWindow,
-    ReductionGuardError,
-    _enumerate_sup,
-    lll_reduce,
-)
+from .lattices import CompactWindow, _reduced_sup, _reduced_sups
+
+# tail_report draws and walks this many walks at a time, which bounds the
+# words and heights it holds at once (16 bytes per walk step)
+WALK_GROUP = 1024
 
 
 class NoWindowDataError(RuntimeError):
@@ -87,79 +84,7 @@ class RateBudget:
 
 
 # ---------------------------------------------------------------------------
-# reduced-basis trajectory walkers
-
-
-class _Walker2:
-    """2x2 working basis in plain floats for diagonal rides; Lagrange-reduced
-    after every step."""
-
-    __slots__ = ("b00", "b01", "b10", "b11")
-
-    def __init__(self, basis):
-        self.b00, self.b01 = float(basis[0][0]), float(basis[0][1])
-        self.b10, self.b11 = float(basis[1][0]), float(basis[1][1])
-        self._reduce()
-
-    def _reduce(self):
-        b00, b01, b10, b11 = self.b00, self.b01, self.b10, self.b11
-        for _ in range(LAGRANGE_ITERATION_LIMIT):
-            n0 = b00 * b00 + b01 * b01
-            n1 = b10 * b10 + b11 * b11
-            if n0 > n1:
-                b00, b01, b10, b11 = b10, b11, b00, b01
-                n0 = n1
-            if n0 < SINGULAR_TOL:
-                raise ValueError("numerically singular basis")
-            q = round((b10 * b00 + b11 * b01) / n0)
-            if q == 0:
-                break
-            b10 -= q * b00
-            b11 -= q * b01
-        else:
-            raise ReductionGuardError(
-                f"Lagrange reduction stopped after {LAGRANGE_ITERATION_LIMIT} iterations"
-            )
-        self.b00, self.b01, self.b10, self.b11 = b00, b01, b10, b11
-
-    def scale(self, factors):
-        # B @ diag(factors) with the products that are exact zeros left out
-        f0, f1 = factors.tolist()
-        self.b00 *= f0
-        self.b01 *= f1
-        self.b10 *= f0
-        self.b11 *= f1
-        self._reduce()
-
-    def height(self) -> float:
-        b00, b01, b10, b11 = self.b00, self.b01, self.b10, self.b11
-        best = -1.0
-        for a, b in ((1, 0), (0, 1), (1, 1), (1, -1)):
-            v0 = abs(a * b00 + b * b10)
-            v1 = abs(a * b01 + b * b11)
-            sup = v0 if v0 >= v1 else v1
-            if best < 0.0 or sup < best:
-                best = sup
-        return -math.log(best)
-
-
-class _WalkerN:
-    """General working basis, LLL-reduced after every step."""
-
-    def __init__(self, basis):
-        self.b, _ = lll_reduce(np.array(basis, dtype=float))
-
-    def apply(self, s):
-        self.b, _ = lll_reduce(self.b @ s)
-
-    def scale(self, factors):
-        # B @ diag(factors): every off-diagonal product is an exact zero, so
-        # scaling the columns gives the same floats
-        self.b, _ = lll_reduce(self.b * factors)
-
-    def height(self) -> float:
-        delta, _ = _enumerate_sup(self.b)
-        return -math.log(delta)
+# trajectories on a re-reduced working basis
 
 
 def _step_inverses(sys: IfsSystem) -> list:
@@ -167,53 +92,17 @@ def _step_inverses(sys: IfsSystem) -> list:
     return [similarity_to_group(m).inverse().matrix for m in sys.maps]
 
 
-def _lagrange_reduce(b: np.ndarray) -> np.ndarray:
-    """Lagrange-reduce every walk of a [row, column, walk] basis array,
-    overwriting it where no swap is needed.
-
-    Each pass is the scalar 2x2 loop's float arithmetic applied elementwise
-    (``np.rint`` rounds half to even like ``round``), so each walk gets the
-    floats it would get alone: a converged walk is left as it is by further
-    passes (no swap, q = 0 again), and the pass limit trips exactly when one
-    walk needs more than ``LAGRANGE_ITERATION_LIMIT`` iterations.
-    """
-    for _ in range(LAGRANGE_ITERATION_LIMIT):
-        sq = b * b
-        n0, n1 = sq[:, 0] + sq[:, 1]
-        swap = n0 > n1
-        # count_nonzero is the cheapest any() on small arrays
-        if np.count_nonzero(swap):
-            b = np.where(swap, b[::-1], b)
-            n0 = np.minimum(n0, n1)
-        if np.count_nonzero(n0 < SINGULAR_TOL):
-            raise ValueError("numerically singular basis")
-        p = b[1] * b[0]
-        q = np.rint((p[0] + p[1]) / n0)
-        # round() raises on nan and inf; np.rint passes them through
-        if np.count_nonzero(np.isfinite(q)) < q.size:
-            raise ValueError("non-finite Lagrange coefficient")
-        if not np.count_nonzero(q):
-            return b
-        b[1] -= q * b[0]
-    raise ReductionGuardError(
-        f"Lagrange reduction stopped after {LAGRANGE_ITERATION_LIMIT} iterations"
-    )
-
-
 def _lagrange_walks(bases: np.ndarray, steps: list, words: np.ndarray) -> np.ndarray:
     """Heights of d=1 walks advanced in lockstep, one walk per row of
-    ``words``, each from its own 2x2 basis: the floats of ``_Walker2``
+    ``words``, each from its own 2x2 basis: the floats of ``_reduced_sup``
     (reduce the start, then step and reduce) for every walk.  Heights go
     through ``math.log``; ``np.log`` can differ in the last bit."""
-    b = _lagrange_reduce(np.moveaxis(bases, 0, -1).copy())
+    b, _ = _reduced_sups(np.moveaxis(bases, 0, -1).copy())
     table = np.moveaxis(np.array(steps, dtype=float), 0, -1)
     heights = np.empty(words.shape)
     for i in range(words.shape[1]):
         s = table.take(words[:, i], axis=2)
-        b = _lagrange_reduce(b[:, 0:1] * s[0] + b[:, 1:2] * s[1])
-        # sup norms of the candidates (1,0), (0,1), (1,1), (1,-1)
-        cand = np.abs(np.concatenate((b, b[0:1] + b[1:2], b[0:1] - b[1:2])))
-        heights[:, i] = cand.max(axis=1).min(axis=0)
+        b, heights[:, i] = _reduced_sups(b[:, 0:1] * s[0] + b[:, 1:2] * s[1])
     # one walk at a time keeps the Python floats of math.log few
     for row in heights:
         row[:] = np.fromiter(map(math.log, row.tolist()), float, row.size)
@@ -241,10 +130,10 @@ def walk_heights(sys: IfsSystem, word: Sequence[int] | np.ndarray, start=None) -
     else:
         out = np.empty(rows.shape)
         for heights, basis, row in zip(out, bases, rows):
-            walker = _WalkerN(basis)
+            b, _ = _reduced_sup(basis)
             for i, s in enumerate(row):
-                walker.apply(steps[s])
-                heights[i] = walker.height()
+                b, delta = _reduced_sup(b @ steps[s])
+                heights[i] = -math.log(delta)
     return out.reshape(words.shape)
 
 
@@ -257,12 +146,14 @@ def diagonal_heights(x, kappa: float, n_max: int, refine: int = 1) -> np.ndarray
     basis = np.eye(d + 1)
     basis[0, 1:] = x
     step = np.array([math.exp(-spacing)] + [math.exp(spacing / d)] * d)
-    walker = _Walker2(basis) if d == 1 else _WalkerN(basis)
+    b, delta = _reduced_sup(basis)
     out = np.empty(n_max * refine + 1)
-    out[0] = walker.height()
+    out[0] = -math.log(delta)
     for j in range(1, out.size):
-        walker.scale(step)
-        out[j] = walker.height()
+        # B @ diag(step): every off-diagonal product is an exact zero, so
+        # scaling the columns gives the same floats
+        b, delta = _reduced_sup(b * step)
+        out[j] = -math.log(delta)
     return out
 
 
@@ -270,13 +161,9 @@ def diagonal_heights(x, kappa: float, n_max: int, refine: int = 1) -> np.ndarray
 # returns and excursions
 
 
-def return_times(heights, window: CompactWindow, max_steps: int | None = None) -> np.ndarray:
-    """1-indexed steps n <= max_steps whose height lies in the window."""
+def return_times(heights, window: CompactWindow) -> np.ndarray:
+    """1-indexed steps n whose height lies in the window."""
     h = np.asarray(heights, dtype=float)
-    if max_steps is not None:
-        if max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        h = h[:max_steps]
     return np.flatnonzero(h <= window.level) + 1
 
 
@@ -349,7 +236,7 @@ def growth_bound_check(
     for rec in records:
         if rec.peak is None:
             continue
-        bound = rate * rec.length + window.q_const + peak_slack + 1e-6
+        bound = rate * rec.length + window.level + peak_slack + 1e-6
         if rec.peak > bound:
             out.append(rec)
     return out
@@ -437,31 +324,33 @@ def tail_report(
     rate = delta / m
     rng = np.random.default_rng(seed)
     total = burn_in + steps
-    words = np.empty((walks, total), dtype=np.intp)
-    for word in words:
-        word[:] = rng.choice(sys.alphabet_size, size=total, p=sys.weights)
     sigmas: list[np.ndarray] = []
     group_log_means: list[float] = []
     n_censored = 0
-    for heights in walk_heights(sys, words):
-        visits = np.flatnonzero(heights <= window.level)
-        anchors = visits[visits >= burn_in]
-        if anchors.size == 0:
-            n_censored += 1
-            continue
-        i0 = int(anchors[0])
-        end = min(i0 + steps, total)
-        rets = anchors[(anchors > i0) & (anchors <= end)]
-        if rets.size == 0:
-            n_censored += 1
-            continue
-        gaps = np.diff(np.concatenate(([i0], rets)))
-        if rets[-1] < end:
-            n_censored += 1
-        sigmas.append(gaps)
-        group_log_means.append(
-            float(scipy.special.logsumexp(rate * gaps) - math.log(gaps.size))
-        )
+    for first in range(0, walks, WALK_GROUP):
+        # each walk's word in the rng order of one walk at a time
+        words = np.empty((min(WALK_GROUP, walks - first), total), dtype=np.intp)
+        for word in words:
+            word[:] = rng.choice(sys.alphabet_size, size=total, p=sys.weights)
+        for heights in walk_heights(sys, words):
+            visits = np.flatnonzero(heights <= window.level)
+            anchors = visits[visits >= burn_in]
+            if anchors.size == 0:
+                n_censored += 1
+                continue
+            i0 = int(anchors[0])
+            end = min(i0 + steps, total)
+            rets = anchors[(anchors > i0) & (anchors <= end)]
+            if rets.size == 0:
+                n_censored += 1
+                continue
+            gaps = np.diff(np.concatenate(([i0], rets)))
+            if rets[-1] < end:
+                n_censored += 1
+            sigmas.append(gaps)
+            group_log_means.append(
+                float(scipy.special.logsumexp(rate * gaps) - math.log(gaps.size))
+            )
     if not sigmas:
         raise NoWindowDataError("no walk produced two window visits")
     pooled = np.concatenate(sigmas)

@@ -36,15 +36,14 @@ class CompactWindow:
     level: float
 
     def __post_init__(self):
-        object.__setattr__(self, "level", float(self.level))
+        level = float(self.level)
+        if not math.isfinite(level):
+            raise ValueError(f"window level must be finite, got {level}")
+        object.__setattr__(self, "level", level)
 
     @property
     def min_delta(self) -> float:
         return math.exp(-self.level)
-
-    @property
-    def q_const(self) -> float:
-        return self.level
 
     def contains_height(self, l: float) -> bool:
         # closed sublevel set: boundary heights count as inside
@@ -268,16 +267,16 @@ def _enumerate_sup(reduced: np.ndarray) -> tuple[float, list[tuple]]:
     return delta, [c for c, s in scored.items() if s == delta]
 
 
+# Lagrange-reduced 2x2 bases: every sup minimizer is among b1, b2, b1 +/- b2
+# (any other combination has Euclidean norm above sqrt(2) |b1|_2)
 _2X2_COEFFS = ((1, 0), (0, 1), (1, 1), (1, -1))
+_2X2_TABLE = np.array(_2X2_COEFFS, dtype=float)
 
 
-def _shortest_2x2(m00: float, m01: float, m10: float, m11: float) -> tuple[float, int, int]:
-    """Fast path: sup-norm shortest vector of a 2x2 row basis in plain floats.
-
-    After Lagrange reduction every sup minimizer is among b1, b2, b1 +/- b2
-    (any other combination has Euclidean norm above sqrt(2) |b1|_2).
-    Returns (delta, c0, c1) with coefficients in the ORIGINAL basis.
-    """
+def _lagrange_2x2(m00: float, m01: float, m10: float, m11: float) -> tuple[tuple, tuple]:
+    """Lagrange-reduce the 2x2 row basis ((m00, m01), (m10, m11)) in plain
+    floats; returns the reduced rows (m00, m01, m10, m11) and the integer
+    (u00, u01, u10, u11) with reduced = U @ basis."""
     u00, u01, u10, u11 = 1, 0, 0, 1
     for _ in range(LAGRANGE_ITERATION_LIMIT):
         n0 = m00 * m00 + m01 * m01
@@ -290,28 +289,84 @@ def _shortest_2x2(m00: float, m01: float, m10: float, m11: float) -> tuple[float
             raise ValueError("numerically singular basis")
         q = round((m10 * m00 + m11 * m01) / n0)
         if q == 0:
-            break
+            return (m00, m01, m10, m11), (u00, u01, u10, u11)
         m10 -= q * m00
         m11 -= q * m01
         u10 -= q * u00
         u11 -= q * u01
-    else:
-        raise ReductionGuardError(
-            f"Lagrange reduction stopped after {LAGRANGE_ITERATION_LIMIT} iterations"
-        )
+    raise ReductionGuardError(
+        f"Lagrange reduction stopped after {LAGRANGE_ITERATION_LIMIT} iterations"
+    )
+
+
+def _sup_2x2(m00: float, m01: float, m10: float, m11: float) -> tuple[float, tuple]:
+    """Smallest sup norm over the candidates of a Lagrange-reduced 2x2 basis,
+    and the first candidate in ``_2X2_COEFFS`` order that attains it."""
     best = -1.0
-    bc0 = bc1 = 0
-    for a, bq in _2X2_COEFFS:
-        v0 = a * m00 + bq * m10
-        v1 = a * m01 + bq * m11
-        sup = abs(v0) if abs(v0) >= abs(v1) else abs(v1)
+    for a, b in _2X2_COEFFS:
+        v0 = abs(a * m00 + b * m10)
+        v1 = abs(a * m01 + b * m11)
+        sup = v0 if v0 >= v1 else v1
         if best < 0.0 or sup < best:
             best = sup
-            bc0 = a * u00 + bq * u10
-            bc1 = a * u01 + bq * u11
-    if bc0 < 0 or (bc0 == 0 and bc1 < 0):
-        bc0, bc1 = -bc0, -bc1
-    return best, bc0, bc1
+            coeffs = (a, b)
+    return best, coeffs
+
+
+def _lagrange_reduce(b: np.ndarray) -> np.ndarray:
+    """Lagrange-reduce every basis of a [row, column, basis] array in
+    lockstep, overwriting it where no swap is needed.
+
+    Each pass is ``_lagrange_2x2``'s float arithmetic applied elementwise
+    (``np.rint`` rounds half to even like ``round``), so each basis gets the
+    floats it would get alone: a converged basis is left as it is by further
+    passes (no swap, q = 0 again), and the pass limit trips exactly when one
+    basis needs more than ``LAGRANGE_ITERATION_LIMIT`` iterations.
+    """
+    for _ in range(LAGRANGE_ITERATION_LIMIT):
+        sq = b * b
+        n0, n1 = sq[:, 0] + sq[:, 1]
+        swap = n0 > n1
+        # count_nonzero is the cheapest any() on small arrays
+        if np.count_nonzero(swap):
+            b = np.where(swap, b[::-1], b)
+            n0 = np.minimum(n0, n1)
+        if np.count_nonzero(n0 < SINGULAR_TOL):
+            raise ValueError("numerically singular basis")
+        p = b[1] * b[0]
+        q = np.rint((p[0] + p[1]) / n0)
+        # round() raises on nan and inf; np.rint passes them through
+        if np.count_nonzero(np.isfinite(q)) < q.size:
+            raise ValueError("non-finite Lagrange coefficient")
+        if not np.count_nonzero(q):
+            return b
+        b[1] -= q * b[0]
+    raise ReductionGuardError(
+        f"Lagrange reduction stopped after {LAGRANGE_ITERATION_LIMIT} iterations"
+    )
+
+
+def _reduced_sups(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lockstep ``_reduced_sup`` over the 2x2 bases of a [row, column, basis]
+    array: the reduced array and each basis's Delta, with the floats of
+    ``_lagrange_2x2`` and ``_sup_2x2``.  The candidate products have
+    coefficients 0 and +-1, so they are exact and each entry rounds once."""
+    b = _lagrange_reduce(b)
+    cand = np.abs((_2X2_TABLE @ b.reshape(2, -1)).reshape(4, 2, -1))
+    return b, cand.max(axis=1).min(axis=0)
+
+
+def _reduced_sup(basis: np.ndarray) -> tuple[np.ndarray, float]:
+    """Reduced form of a row basis and the sup norm Delta of its shortest
+    vector: Lagrange and the candidate scan for 2x2, LLL and enumeration
+    above."""
+    if len(basis) == 2:
+        rows, _ = _lagrange_2x2(*basis.ravel().tolist())
+        delta, _ = _sup_2x2(*rows)
+        return np.array(rows).reshape(2, 2), delta
+    reduced, _ = lll_reduce(basis)
+    delta, _ = _enumerate_sup(reduced)
+    return reduced, delta
 
 
 def shortest_of_basis(basis: np.ndarray) -> tuple[float, np.ndarray]:
@@ -330,8 +385,10 @@ def shortest_of_basis(basis: np.ndarray) -> tuple[float, np.ndarray]:
     if not np.all(np.isfinite(b)):
         raise ValueError("basis has non-finite entries")
     if k == 2:
-        delta, c0, c1 = _shortest_2x2(b[0, 0], b[0, 1], b[1, 0], b[1, 1])
-        return delta, np.array([c0, c1], dtype=np.int64)
+        rows, (u00, u01, u10, u11) = _lagrange_2x2(*b.ravel().tolist())
+        delta, (a, c) = _sup_2x2(*rows)
+        witness = _canonical((a * u00 + c * u10, a * u01 + c * u11))
+        return delta, np.array(witness, dtype=np.int64)
     reduced, u = lll_reduce(b)
     delta, coeff_list = _enumerate_sup(reduced)
     columns = list(zip(*u.tolist()))

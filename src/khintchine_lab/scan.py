@@ -255,8 +255,6 @@ def survey(
     for k in range(n_bands):
         q_lo = 2**k
         q_hi = min(2 ** (k + 1) - 1, q_max)
-        if q_lo > q_max:
-            break
         certain = np.zeros(sample_count, dtype=bool)
         uncertain = np.zeros(sample_count, dtype=bool)
         qs_all = np.arange(q_lo, q_hi + 1)

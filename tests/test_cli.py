@@ -155,6 +155,14 @@ def test_main_config_errors_exit_2(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("level", ["nan", "inf"])
+def test_main_non_finite_level_exits_1(tmp_path, capsys, level):
+    argv = ["excursions", "--system", "cantor:1", "--level", level, "--points", "2",
+            "--n-max", "10", "--workers", "1", "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert "finite" in capsys.readouterr().err
+
+
 def test_main_report_missing_manifest_exit_1(tmp_path, capsys):
     assert cli.main(["report", str(tmp_path / "nope")]) == 1
     assert "missing manifest" in capsys.readouterr().err

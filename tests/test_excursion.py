@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,31 +27,34 @@ def test_walk_heights_match_direct_lattice_heights():
 
 
 def test_walk_heights_dual_route():
-    # the lockstep Lagrange kernel and the generic LLL walker are independent
+    # the lockstep Lagrange kernel and LLL plus enumeration are independent
     # reduction routes and must agree pointwise.  Comparison stays inside the
     # Lyapunov horizon (rounding amplifies by 1/kappa per step, so any float
     # route is a pseudo-orbit past n ~ 53 log2/log3); many words instead.
-    from khintchine_lab.excursion import _step_inverses, _WalkerN
-
     sys = ifs.cantor_product(1)
     rng = np.random.default_rng(13)
-    mats = _step_inverses(sys)
+    mats = excursion._step_inverses(sys)
     words = rng.integers(0, 2, size=(30, 14))
     starts = rng.random((30, 1))
     hs = excursion.walk_heights(sys, words, start=starts)
     for heights, word, x in zip(hs, words, starts):
         basis = np.eye(2)
         basis[0, 1] = x[0]
-        wn = _WalkerN(basis)
+        b, _ = lattices.lll_reduce(basis)
         for h, s in zip(heights, word):
-            wn.apply(mats[s])
-            assert h == pytest.approx(wn.height(), abs=1e-7)
+            b, _ = lattices.lll_reduce(b @ mats[s])
+            delta, _ = lattices._enumerate_sup(b)
+            assert h == pytest.approx(-math.log(delta), abs=1e-7)
+
+
+# the module's pass limit, read before any test lowers it
+LAGRANGE_LIMIT = lattices.LAGRANGE_ITERATION_LIMIT
 
 
 def _passes_needed(monkeypatch, sys, word, start):
     """Smallest Lagrange pass limit under which the walk runs alone."""
-    for limit in range(1, lattices.LAGRANGE_ITERATION_LIMIT + 1):
-        monkeypatch.setattr(excursion, "LAGRANGE_ITERATION_LIMIT", limit)
+    for limit in range(1, LAGRANGE_LIMIT + 1):
+        monkeypatch.setattr(lattices, "LAGRANGE_ITERATION_LIMIT", limit)
         try:
             excursion.walk_heights(sys, word, start=start)
         except lattices.ReductionGuardError:
@@ -60,20 +64,21 @@ def _passes_needed(monkeypatch, sys, word, start):
 
 
 def _scalar_walk(sys, word, x):
-    """Reference loop: the plain-float 2x2 walker, one step at a time."""
+    """Reference loop: the plain-float 2x2 kernel, one step at a time."""
     steps = [m.tolist() for m in excursion._step_inverses(sys)]
-    w = excursion._Walker2([[1.0, x], [0.0, 1.0]])
+    b, _ = lattices._lagrange_2x2(1.0, float(x), 0.0, 1.0)
     out = []
     for s in word:
         (s00, s01), (s10, s11) = steps[s]
-        w.b00, w.b01, w.b10, w.b11 = (
-            w.b00 * s00 + w.b01 * s10,
-            w.b00 * s01 + w.b01 * s11,
-            w.b10 * s00 + w.b11 * s10,
-            w.b10 * s01 + w.b11 * s11,
+        b00, b01, b10, b11 = b
+        b, _ = lattices._lagrange_2x2(
+            b00 * s00 + b01 * s10,
+            b00 * s01 + b01 * s11,
+            b10 * s00 + b11 * s10,
+            b10 * s01 + b11 * s11,
         )
-        w._reduce()
-        out.append(w.height())
+        delta, _ = lattices._sup_2x2(*b)
+        out.append(-math.log(delta))
     return out
 
 
@@ -97,7 +102,7 @@ def test_lockstep_rows_match_walks_run_alone(monkeypatch):
 
 
 def test_walk_heights_rows_at_d2():
-    # at d >= 2 the rows of a batch run one after another through _WalkerN
+    # at d >= 2 the rows of a batch run one after another through LLL
     sys = ifs.cantor_product(2)
     rng = np.random.default_rng(32)
     words = rng.integers(0, sys.alphabet_size, size=(3, 30))
@@ -108,10 +113,8 @@ def test_walk_heights_rows_at_d2():
 
 
 def test_lockstep_reduce_matches_scalar_lagrange():
-    # lockstep passes against the scalar loop of _Walker2 (Python's round):
-    # exact half-integer ties, skewed bases needing many passes, random ones
-    from khintchine_lab.excursion import _lagrange_reduce, _Walker2
-
+    # lockstep passes against the scalar loop (Python's round): exact
+    # half-integer ties, skewed bases needing many passes, random ones
     rng = np.random.default_rng(8)
     bases = np.concatenate((
         [[[1.0, 0.0], [2.5, 1.0]], [[1.0, 0.0], [-1.5, 1.0]], [[1.0, 0.0], [0.5, 3.0]]],
@@ -119,17 +122,17 @@ def test_lockstep_reduce_matches_scalar_lagrange():
         rng.normal(size=(20, 2, 2)),
         rng.normal(size=(10, 2, 2)) * [[1e3], [1.0]],
     ))
-    reduced = _lagrange_reduce(np.moveaxis(bases, 0, -1).copy())
+    reduced = lattices._lagrange_reduce(np.moveaxis(bases, 0, -1).copy())
     for k, basis in enumerate(bases):
-        w = _Walker2(basis)
-        np.testing.assert_array_equal(reduced[..., k], [[w.b00, w.b01], [w.b10, w.b11]])
+        rows, _ = lattices._lagrange_2x2(*basis.ravel().tolist())
+        np.testing.assert_array_equal(reduced[..., k].ravel(), rows)
 
 
 def test_lockstep_guard_raises(monkeypatch):
     sys = ifs.cantor_product(1)
     words = np.random.default_rng(4).integers(0, 2, size=(5, 40))
     excursion.walk_heights(sys, words)
-    monkeypatch.setattr(excursion, "LAGRANGE_ITERATION_LIMIT", 1)
+    monkeypatch.setattr(lattices, "LAGRANGE_ITERATION_LIMIT", 1)
     with pytest.raises(lattices.ReductionGuardError):
         excursion.walk_heights(sys, words)
 
@@ -152,14 +155,13 @@ def test_lockstep_non_finite_coefficient_raises():
             excursion.walk_heights(sys, words, start=[[0.2], [bad], [0.7]])
 
 
-def test_walker_lagrange_guard_raises(monkeypatch):
-    from khintchine_lab.excursion import _Walker2
-
-    basis = np.array([[89.0, 1.0], [144.0, 0.5]])
-    _Walker2(basis)
-    monkeypatch.setattr(excursion, "LAGRANGE_ITERATION_LIMIT", 2)
+def test_diagonal_lagrange_guard_raises(monkeypatch):
+    # along the d=1 ride some steps need a nonzero Lagrange coefficient
+    x = np.array([math.sqrt(2) - 1])
+    excursion.diagonal_heights(x, 1 / 3, 20)
+    monkeypatch.setattr(lattices, "LAGRANGE_ITERATION_LIMIT", 1)
     with pytest.raises(lattices.ReductionGuardError):
-        _Walker2(basis)
+        excursion.diagonal_heights(x, 1 / 3, 20)
 
 
 def test_walk_heights_survive_long_trajectories():
@@ -197,7 +199,6 @@ def test_return_times_are_one_indexed():
     heights = np.array([0.5, 2.0, 0.7, 3.0, 0.2])
     rets = excursion.return_times(heights, w)
     np.testing.assert_array_equal(rets, [1, 3, 5])
-    np.testing.assert_array_equal(excursion.return_times(heights, w, max_steps=3), [1, 3])
 
 
 def test_excursions_segmentation():
@@ -319,6 +320,18 @@ def test_tail_report_deterministic():
     b = excursion.tail_report(sys, lattices.CompactWindow(3.0), walks=10, steps=400, seed=8)
     np.testing.assert_array_equal(a.empirical_tail, b.empirical_tail)
     assert a.theta_hat == b.theta_hat
+
+
+def test_tail_report_groups_match_one_group(monkeypatch):
+    # walks drawn and walked WALK_GROUP at a time give the report of one group
+    sys = ifs.cantor_product(1)
+    window = lattices.CompactWindow(3.0)
+    whole = excursion.tail_report(sys, window, walks=8, steps=300, seed=6)
+    monkeypatch.setattr(excursion, "WALK_GROUP", 3)
+    grouped = excursion.tail_report(sys, window, walks=8, steps=300, seed=6)
+    for field in dataclasses.fields(excursion.TailReport):
+        a, b = getattr(whole, field.name), getattr(grouped, field.name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
 
 
 def test_tail_report_rejects_negative_burn_in(tmp_path, capsys):

@@ -6,6 +6,12 @@ only when an output is meant to change, and say in CHANGES.md which one and
 why:
 
     PYTHONPATH=src python tests/test_golden.py
+
+The digests assume numpy's dot-product rounding on the build that generated
+them (scipy-openblas 0.3.31 on x86-64, where short dots are a fused
+multiply-add chain).  The LLL tie decisions and the sup norms scored as
+``xs @ reduced`` follow that rounding, so on a CPU or BLAS that rounds short
+dots differently a digest can change although both routes are right.
 """
 
 import hashlib

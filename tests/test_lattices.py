@@ -113,6 +113,13 @@ def test_window_membership():
     assert not lattices.in_window(deep, w)
 
 
+def test_window_level_must_be_finite():
+    # Y_L is compact only for finite L
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            lattices.CompactWindow(bad)
+
+
 def test_rational_points_climb_the_cusp():
     # at x = p/q the vector (q, qx - p) collapses, so height grows like t
     g = flows.diagonal_point(np.array([0.25]), 4.0)
