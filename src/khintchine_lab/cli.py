@@ -34,6 +34,7 @@ from .constants import (
 )
 from .dani import ApproxFunction, RateFunction, classify_khintchine_series, equivalence_check, r_from_psi, t0_of
 from .excursion import (
+    NoWindowDataError,
     diagonal_excursions,
     growth_bound_check,
     lipschitz_slack,
@@ -333,6 +334,9 @@ def _cmd_excursions(cfg: ExperimentConfig, out_dir: str):
     for task_rows, bad in results:
         rows.extend(task_rows)
         total_bad += bad
+    if not rows:
+        # 0 violations over 0 records would pass vacuously
+        raise NoWindowDataError("no excursion record: the growth-bound check judged nothing")
     path = os.path.join(out_dir, "excursions.csv")
     _write_csv(path, ["seed", "n", "tau", "sigma", "nu"], rows, fmt=_g17)
     verdicts = {

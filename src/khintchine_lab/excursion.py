@@ -92,6 +92,17 @@ def _step_inverses(sys: IfsSystem) -> list:
     return [similarity_to_group(m).inverse().matrix for m in sys.maps]
 
 
+def _times(b: np.ndarray, s) -> np.ndarray:
+    """The product b @ s over b's first two axes, columns of b times rows of
+    s, summed left to right in elementwise IEEE arithmetic (no BLAS), so the
+    floats are the same on every platform.  Trailing axes of a
+    [row, column, basis] array of bases broadcast."""
+    out = b[:, 0:1] * s[0]
+    for i in range(1, len(s)):
+        out += b[:, i : i + 1] * s[i]
+    return out
+
+
 def _lagrange_walks(bases: np.ndarray, steps: list, words: np.ndarray) -> np.ndarray:
     """Heights of d=1 walks advanced in lockstep, one walk per row of
     ``words``, each from its own 2x2 basis: the floats of ``_reduced_sup``
@@ -102,7 +113,7 @@ def _lagrange_walks(bases: np.ndarray, steps: list, words: np.ndarray) -> np.nda
     heights = np.empty(words.shape)
     for i in range(words.shape[1]):
         s = table.take(words[:, i], axis=2)
-        b, heights[:, i] = _reduced_sups(b[:, 0:1] * s[0] + b[:, 1:2] * s[1])
+        b, heights[:, i] = _reduced_sups(_times(b, s))
     # one walk at a time keeps the Python floats of math.log few
     for row in heights:
         row[:] = np.fromiter(map(math.log, row.tolist()), float, row.size)
@@ -132,7 +143,7 @@ def walk_heights(sys: IfsSystem, word: Sequence[int] | np.ndarray, start=None) -
         for heights, basis, row in zip(out, bases, rows):
             b, _ = _reduced_sup(basis)
             for i, s in enumerate(row):
-                b, delta = _reduced_sup(b @ steps[s])
+                b, delta = _reduced_sup(_times(b, steps[s]))
                 heights[i] = -math.log(delta)
     return out.reshape(words.shape)
 
@@ -319,8 +330,9 @@ def tail_report(
             log_Cc=0.0, eps=0.5, m=m,
         )
         delta = budget.delta
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    # a nan or inf delta would be compared with a nan bound and pass
+    if not (0.0 < delta < math.inf):
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     rate = delta / m
     rng = np.random.default_rng(seed)
     total = burn_in + steps

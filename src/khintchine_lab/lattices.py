@@ -58,11 +58,6 @@ class ReductionGuardError(RuntimeError):
 # Iteration limits of the reduction loops (module-level so tests can lower them).
 LLL_ITERATION_LIMIT = 10_000
 LAGRANGE_ITERATION_LIMIT = 64
-# The kernel computes in plain floats, which can differ from the numpy
-# reference arithmetic (BLAS dot products) in the last bits.  A reduction
-# decision within this relative slack of its tie, and an enumeration leaf
-# within it of the best sup norm, is settled with the reference arithmetic.
-REFERENCE_SLACK = 1e-9
 
 
 def _canonical(coeffs: tuple) -> tuple:
@@ -73,17 +68,12 @@ def _canonical(coeffs: tuple) -> tuple:
     return coeffs
 
 
-def _plain_dot(a: list, b: list) -> float:
+def _dot(a: list, b: list) -> float:
+    # correctly rounded, so the same float on every IEEE platform
     return math.fsum(map(mul, a, b))
 
 
-def _reference_dot(a: list, b: list) -> float:
-    return float(np.array(a) @ np.array(b))
-
-
-def _gram(
-    rows: list, start: int = 0, data: tuple | None = None, dot=_plain_dot
-) -> tuple[list, list, list]:
+def _gram(rows: list, start: int = 0, data: tuple | None = None) -> tuple[list, list, list]:
     """Gram-Schmidt data of the rows: (mu, norms, stars) with
     mu[i][j] = <b_i, b*_j>/|b*_j|^2 for j < i, norms[i] = |b*_i|^2 and
     stars[i] = b*_i.  A numerically zero b*_j contributes no projection.
@@ -103,18 +93,13 @@ def _gram(
         mu_row = [0.0] * k
         for j, (star, norm) in enumerate(zip(stars, norms)):
             if norm > SINGULAR_TOL:
-                m = dot(b, star) / norm
+                m = _dot(b, star) / norm
                 mu_row[j] = m
                 v = [x - m * y for x, y in zip(v, star)]
         stars.append(v)
-        norms.append(dot(v, v))
+        norms.append(_dot(v, v))
         mu.append(mu_row)
     return mu, norms, stars
-
-
-def _near_half(m: float) -> bool:
-    """Whether round(m) could differ between plain and reference floats."""
-    return abs(abs(m - round(m)) - 0.5) <= REFERENCE_SLACK * max(1.0, abs(m))
 
 
 # (rows, Gram-Schmidt data) of the last basis lll_reduce returned: the
@@ -128,10 +113,11 @@ def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> tuple[np.ndarray, np.n
 
     Size reduction runs j = i-1..0 with the coefficients mu[i][j] of the
     Gram-Schmidt data taken before the pass; the data is brought up to date
-    after a pass that changed b_i and after every swap.  Decisions (round(mu)
-    and the Lovasz test) read plain-float data; one within REFERENCE_SLACK of
-    its tie reads the data recomputed with numpy dot products instead, so the
-    decisions, and with them the reduced floats, are those of that arithmetic.
+    after a pass that changed b_i and after every swap.  Every decision
+    (round(mu) and the Lovasz test) reads that data, which is plain IEEE
+    doubles with each dot product correctly rounded by ``math.fsum``; so the
+    decisions, ties included, and the reduced floats are the same on every
+    IEEE platform whatever BLAS numpy uses.
     """
     b = np.asarray(basis, dtype=float).tolist()
     k = len(b)
@@ -140,7 +126,6 @@ def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> tuple[np.ndarray, np.n
     mu, norms, _ = data
     if min(norms) < SINGULAR_TOL:
         raise ValueError("numerically singular basis")
-    reference = None  # Gram data of the current b in reference arithmetic
     i = 1
     iterations = 0
     while i < k:
@@ -150,9 +135,6 @@ def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> tuple[np.ndarray, np.n
                 f"LLL stopped after {LLL_ITERATION_LIMIT} iterations"
             )
         mu_i = mu[i]
-        if any(_near_half(m) for m in mu_i[:i]):
-            reference = reference or _gram(b, dot=_reference_dot)
-            mu_i = reference[0][i]
         changed = False
         for j in range(i - 1, -1, -1):
             q = round(mu_i[j])
@@ -162,38 +144,15 @@ def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> tuple[np.ndarray, np.n
                 changed = True
         if changed:
             _gram(b, i, data)
-            reference = None
-        lhs = norms[i]
-        rhs = (delta - mu[i][i - 1] ** 2) * norms[i - 1]
-        if abs(lhs - rhs) <= REFERENCE_SLACK * max(abs(lhs), abs(rhs)):
-            reference = reference or _gram(b, dot=_reference_dot)
-            ref_mu, ref_norms, _ = reference
-            lhs = ref_norms[i]
-            rhs = (delta - ref_mu[i][i - 1] ** 2) * ref_norms[i - 1]
-        if lhs >= rhs:
+        if norms[i] >= (delta - mu[i][i - 1] ** 2) * norms[i - 1]:
             i += 1
         else:
             b[i - 1], b[i] = b[i], b[i - 1]
             u[i - 1], u[i] = u[i], u[i - 1]
             _gram(b, i - 1, data)
-            reference = None
             i = max(i - 1, 1)
     _last_reduced[:] = [b, data]
     return np.array(b), np.array(u, dtype=np.int64)
-
-
-def _exact_sup(coeffs: tuple, plain: float, reduced: np.ndarray) -> float:
-    """Sup norm of coeffs @ reduced, bit for bit as ``xs @ reduced``, given
-    its plain-float value accumulated row by row.
-
-    With at most two nonzero coefficients, each a signed power of two, every
-    product is exact and the sum rounds once, so the plain value agrees with
-    any summation order; otherwise the matrix product itself is evaluated.
-    """
-    nonzero = [abs(c) for c in coeffs if c]
-    if len(nonzero) <= 2 and all(c & (c - 1) == 0 for c in nonzero):
-        return plain
-    return float(np.max(np.abs(np.array(coeffs, dtype=np.int64) @ reduced)))
 
 
 def _enumerate_sup(reduced: np.ndarray) -> tuple[float, list[tuple]]:
@@ -203,7 +162,8 @@ def _enumerate_sup(reduced: np.ndarray) -> tuple[float, list[tuple]]:
 
     Children are visited in Schnorr-Euchner zig-zag order (nondecreasing
     distance to the projected center), so a level stops at its first child
-    outside the ball.
+    outside the ball.  A leaf's sup norm is taken in plain floats, its vector
+    accumulated from level k-1 down to 0, and Delta is the smallest of them.
     """
     rows = reduced.tolist()
     k = len(rows)
@@ -215,7 +175,7 @@ def _enumerate_sup(reduced: np.ndarray) -> tuple[float, list[tuple]]:
         raise ValueError("numerically singular basis")
     row_sups = [max(map(abs, row)) for row in rows]
     best = min(row_sups)
-    # (plain-float sup, coeffs); seeded with the minimal rows
+    # (sup, coeffs); seeded with the minimal rows
     leaves = [
         (s, tuple(int(j == i) for j in range(k)))
         for i, s in enumerate(row_sups)
@@ -245,7 +205,7 @@ def _enumerate_sup(reduced: np.ndarray) -> tuple[float, list[tuple]]:
                 visit(i - 1, p, [a + x * y for a, y in zip(vec, row)], top and x == 0)
             elif x or not top:
                 s = max([abs(a + x * y) for a, y in zip(vec, row)])
-                if s <= best * (1.0 + REFERENCE_SLACK):
+                if s <= best:
                     leaves.append((s, tuple(xs)))
                     if s < best:
                         best = s
@@ -258,13 +218,8 @@ def _enumerate_sup(reduced: np.ndarray) -> tuple[float, list[tuple]]:
         xs[i] = 0
 
     visit(k - 1, 0.0, [0.0] * k, True)
-    cutoff = best * (1.0 + REFERENCE_SLACK)
-    scored: dict[tuple, float] = {}
-    for s, coeffs in leaves:
-        if s <= cutoff and coeffs not in scored:
-            scored[coeffs] = _exact_sup(coeffs, s, reduced)
-    delta = min(scored.values())
-    return delta, [c for c, s in scored.items() if s == delta]
+    # a minimal row is found again by the search
+    return best, list(dict.fromkeys(c for s, c in leaves if s == best))
 
 
 # Lagrange-reduced 2x2 bases: every sup minimizer is among b1, b2, b1 +/- b2

@@ -163,6 +163,14 @@ def test_main_non_finite_level_exits_1(tmp_path, capsys, level):
     assert "finite" in capsys.readouterr().err
 
 
+def test_main_excursions_without_records_exits_1(tmp_path, capsys):
+    # heights are never negative, so no window visit and no record to judge
+    argv = ["excursions", "--system", "cantor:1", "--level", "-1", "--points", "2",
+            "--n-max", "50", "--workers", "1", "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert "no excursion record" in capsys.readouterr().err
+
+
 def test_main_report_missing_manifest_exit_1(tmp_path, capsys):
     assert cli.main(["report", str(tmp_path / "nope")]) == 1
     assert "missing manifest" in capsys.readouterr().err

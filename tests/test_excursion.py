@@ -346,6 +346,21 @@ def test_tail_report_rejects_negative_burn_in(tmp_path, capsys):
     assert "burn_in" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_tail_report_rejects_non_finite_delta(tmp_path, capsys, value):
+    # a nan delta gave a nan bound that no tail value could violate; a nan or
+    # inf varpi gives such a delta through rate_budget
+    from khintchine_lab import cli
+
+    sys = ifs.cantor_product(1)
+    with pytest.raises(ValueError, match="finite"):
+        excursion.tail_report(sys, lattices.CompactWindow(3.0), walks=2, steps=50, seed=0, delta=value)
+    for flag in ("--delta", "--varpi"):
+        argv = ["simulate", "--walks", "2", "--steps", "50", flag, str(value), "--out", str(tmp_path)]
+        assert cli.main(argv) == 1
+        assert "finite" in capsys.readouterr().err
+
+
 def test_tail_report_needs_window_visits():
     sys = ifs.cantor_product(1)
     # level so deep that no walk ever reaches the window

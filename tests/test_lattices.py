@@ -166,6 +166,31 @@ def test_certified_vs_brute_force_at_k3_k4():
         checked[k] += 1
 
 
+def _plain_sup(coeffs, rows) -> float:
+    """Sup norm of coeffs @ rows in plain floats, accumulated from row k-1
+    down to row 0 (the enumeration's level order)."""
+    vec = [0.0] * len(rows)
+    for c, row in zip(reversed(coeffs), reversed(rows)):
+        vec = [a + c * y for a, y in zip(vec, row)]
+    return max(map(abs, vec))
+
+
+def test_enumerated_sup_is_the_plain_float_sup():
+    # Delta is the plain-float sup norm of every returned coefficient vector.
+    # At the pinned point a BLAS dot product rounds that sup norm one ulp up
+    # (0.7233347073165527); the rest are drawn like the sweep that found it.
+    rng = np.random.default_rng(11)
+    points = [([0.03163956363423126, 0.22967587053572702, 0.5180602827074992], 1.422495510269684)]
+    points += [(rng.random(k - 1), rng.uniform(0.0, 8.0)) for k in (3, 4) for _ in range(50)]
+    for x, t in points:
+        reduced, _ = lattices.lll_reduce(lattices.dual_basis(flows.diagonal_point(x, t)))
+        delta, coeffs = lattices._enumerate_sup(reduced)
+        rows = reduced.tolist()
+        assert coeffs and all(_plain_sup(c, rows) == delta for c in coeffs)
+    pinned = lattices.dual_basis(flows.diagonal_point(points[0][0], points[0][1]))
+    assert lattices.shortest_of_basis(pinned)[0] == 0.7233347073165526
+
+
 def test_lll_guard_raises(monkeypatch):
     basis = np.array([[1.0, 0.0, 0.0], [7.3, 1.0, 0.0], [2.1, 5.7, 1.0]])
     lattices.lll_reduce(basis)
