@@ -134,10 +134,9 @@ def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> tuple[np.ndarray, np.n
             raise ReductionGuardError(
                 f"LLL stopped after {LLL_ITERATION_LIMIT} iterations"
             )
-        mu_i = mu[i]
         changed = False
         for j in range(i - 1, -1, -1):
-            q = round(mu_i[j])
+            q = round(mu[i][j])
             if q:
                 b[i] = [x - q * y for x, y in zip(b[i], b[j])]
                 u[i] = [x - q * y for x, y in zip(u[i], u[j])]
