@@ -42,7 +42,7 @@ from .excursion import (
 )
 from .ifs import IfsSystem, cantor_product, load_system, sample_fractal, system_from_json, system_to_json
 from .lattices import CompactWindow
-from .scan import dani_cross_check, parse_point, scan_hits, survey
+from .scan import dani_cross_check, parse_point, survey
 
 _TOP_KEYS = {"command", "system", "seed", "workers", "output_dir", "parameters"}
 
@@ -97,9 +97,6 @@ _PARAM_SPECS = {
         "search_budget": (int, 200),
         "samples": (int, 100000),
     },
-    "report": {
-        "run_dirs": (list, []),
-    },
 }
 
 
@@ -150,7 +147,9 @@ def _cast(name: str, caster, value):
 def build_config(command: str, file_doc: dict | None, flags: dict) -> ExperimentConfig:
     """Merge config file and explicit flags; flags win.  Unknown keys are a
     hard error naming the key."""
-    spec = _PARAM_SPECS[command]
+    spec = _PARAM_SPECS.get(command)
+    if spec is None:
+        raise ConfigError(f"command {command!r} takes no config")
     doc = dict(file_doc or {})
     for key in doc:
         if key not in _TOP_KEYS:
@@ -402,7 +401,7 @@ def _cmd_approx(cfg: ExperimentConfig, out_dir: str):
     psi = _psi_from_params(p)
     x, x_exact = parse_point(p["x"])
     d = x.size
-    hits = scan_hits(x, psi, p["q_max"], x_exact=x_exact)
+    check = dani_cross_check(x, psi, d, p["q_max"], tol=p["tol"], x_exact=x_exact)
     header = ["point_id", "q"] + [f"p_{j}" for j in range(d)] + [
         "error",
         "margin",
@@ -410,13 +409,12 @@ def _cmd_approx(cfg: ExperimentConfig, out_dir: str):
     ]
     rows = [
         (0, h.q, *[int(v) for v in h.p], h.error, h.margin, h.witness_time)
-        for h in hits
+        for h in check.hits
     ]
     path = os.path.join(out_dir, "hits.csv")
     _write_csv(path, header, rows)
-    check = dani_cross_check(x, psi, d, p["q_max"], tol=p["tol"], x_exact=x_exact)
     verdicts = {
-        "hits": len(hits),
+        "hits": len(check.hits),
         "hits_checked": check.hits_checked,
         "degenerate_skipped": check.degenerate_skipped,
         "direct_violations": len(check.direct_violations),
@@ -523,8 +521,6 @@ _COMMANDS = {
 
 def run(config: ExperimentConfig) -> RunManifest:
     """Execute one command and write its outputs plus manifest.json."""
-    if config.command == "report":
-        raise ConfigError("report aggregates run dirs; use report_runs()")
     os.makedirs(config.output_dir, exist_ok=True)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     outputs, verdicts = _COMMANDS[config.command](config, config.output_dir)

@@ -84,19 +84,6 @@ class CoverCertificate:
     def count(self) -> int:
         return self.cells.shape[0]
 
-    @property
-    def cubes(self) -> list:
-        """Words over the digit alphabet {0,2}^d, outermost letter first.
-        Materializes the full list; meant for small certificates."""
-        n, d = self.n, self.dimension
-        out = []
-        for row in self.cells:
-            word = []
-            for j in range(n - 1, -1, -1):
-                word.append(tuple(int(k // 3**j % 3) for k in row))
-            out.append(tuple(word))
-        return out
-
     def _packed(self) -> np.ndarray:
         strides = (3**self.n) ** np.arange(self.dimension, dtype=np.int64)
         packed = np.sort(self.cells @ strides)
@@ -111,11 +98,6 @@ class CoverCertificate:
             return np.zeros(keys.shape, dtype=bool)
         idx = np.minimum(np.searchsorted(packed, keys), packed.size - 1)
         return packed[idx] == keys
-
-    def contains_point(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        k = np.clip(np.floor(x * 3**self.n).astype(np.int64), 0, 3**self.n - 1)
-        return bool(self.contains_cells(k[None, :])[0])
 
 
 @lru_cache(maxsize=32)

@@ -211,13 +211,13 @@ class RateFunction:
             raise ValueError("need matching strictly increasing ts")
         return cls(t_start=float(ts[0]), d=d, evaluator=lambda t: np.interp(t, ts, rs))
 
-    def check_monotonicity(self, span: float = 30.0, n: int = 1000, tol: float = 1e-9) -> bool:
-        """t - r strictly increasing, t/d + r non-decreasing, on a grid."""
+    def check_monotonicity(self, span: float = 30.0, n: int = 1000) -> bool:
+        """t - r strictly increasing, t/d + r non-decreasing (to 1e-9), on a grid."""
         ts = np.linspace(self.t_start, self.t_start + span, n)
         rs = self(ts)
         if np.any(np.diff(ts - rs) <= 0.0):
             raise ValueError("t - r(t) is not strictly increasing")
-        if np.any(np.diff(ts / self.d + rs) < -tol):
+        if np.any(np.diff(ts / self.d + rs) < -1e-9):
             raise ValueError("t/d + r(t) decreases")
         return True
 

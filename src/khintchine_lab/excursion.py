@@ -265,8 +265,12 @@ def rate_budget(
     the optimal rate gamma_max = varpi (d+1)/d."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
-    if m < 1 or varpi <= 0.0 or log_Cc < 0.0 or not (0.0 < kappa < 1.0):
-        raise ValueError("need m >= 1, varpi > 0, log_Cc >= 0, kappa in (0, 1)")
+    # chained comparisons are False for nan, so nan and inf are rejected too
+    finite = 0.0 < varpi < math.inf and 0.0 <= log_Cc < math.inf
+    if m < 1 or not finite or not (0.0 < kappa < 1.0):
+        raise ValueError(
+            "need m >= 1, finite varpi > 0, finite log_Cc >= 0, kappa in (0, 1)"
+        )
     log_kappa = math.log(kappa)
     rho = 1.0 - eps / 2.0
     delta_top = -m * rho * varpi * log_kappa / (d + 1) - log_Cc

@@ -152,7 +152,7 @@ def rho_apply(p: GroupElement, beta) -> np.ndarray:
     return math.exp(t * (p.dimension + 1) / p.dimension) * ((beta - alpha) @ orth.T)
 
 
-def decompose_P(g: GroupElement, tol: float = P_SHAPE_TOL) -> tuple[float, np.ndarray, np.ndarray]:
+def decompose_P(g: GroupElement) -> tuple[float, np.ndarray, np.ndarray]:
     """Split g = a_t k_O u_alpha; raises if g is not in P.
 
     t is the log of the (0,0) entry, alpha = -g[0,1:]/g[0,0], and O is the
@@ -161,23 +161,23 @@ def decompose_P(g: GroupElement, tol: float = P_SHAPE_TOL) -> tuple[float, np.nd
     m = g.matrix
     d = g.dimension
     scale = np.max(np.abs(m))
-    if np.max(np.abs(m[1:, 0])) > tol * scale:
+    if np.max(np.abs(m[1:, 0])) > P_SHAPE_TOL * scale:
         raise ValueError("element is not in P: nonzero lower-left block")
     if m[0, 0] <= 0:
         raise ValueError("element is not in P: nonpositive leading entry")
     t = math.log(m[0, 0])
     alpha = -m[0, 1:] / m[0, 0]
     orth = m[1:, 1:] * math.exp(t / d)
-    if np.max(np.abs(orth @ orth.T - np.eye(d))) > tol:
+    if np.max(np.abs(orth @ orth.T - np.eye(d))) > P_SHAPE_TOL:
         raise ValueError("element is not in P: rotation block not orthogonal")
     return t, orth, alpha
 
 
-def assemble_P(t: float, orth, alpha, d: int | None = None) -> GroupElement:
+def assemble_P(t: float, orth, alpha) -> GroupElement:
     """a_t k_O u_alpha as one matrix (inverse of decompose_P)."""
     orth = np.atleast_2d(np.asarray(orth, dtype=float))
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    d = orth.shape[0] if d is None else d
+    d = orth.shape[0]
     m = np.zeros((d + 1, d + 1))
     m[0, 0] = math.exp(t)
     m[0, 1:] = -math.exp(t) * alpha
@@ -233,15 +233,13 @@ def walk_products(steps: Sequence[GroupElement], word) -> Iterator[GroupElement]
 # ---------------------------------------------------------------------------
 # exact product decomposition along coding words
 
-def shadowing_identity_residual(
-    sys: IfsSystem, seed: int, n: int, tail: int = 40, dps: int = 60
-) -> float:
+def shadowing_identity_residual(sys: IfsSystem, seed: int, n: int, tail: int = 40) -> float:
     """Max entrywise residual of h_{b_1^n} = u_{-beta_n} a_{t_n} k_n u_{pi(b)}.
 
     The identity is algebraically exact once beta_n = pi(T^n b) and pi(b) are
     truncated consistently (both from the same length n + tail draw), so the
     residual measures only whether the group translation is wired correctly.
-    Computed in mpmath at ``dps`` digits: in doubles the e^{t_n}-sized entries
+    Computed in mpmath at 60 digits: in doubles the e^{t_n}-sized entries
     wash out the identity long before n = 50.
     """
     if n < 1:
@@ -249,7 +247,7 @@ def shadowing_identity_residual(
     rng = np.random.default_rng(seed)
     word = rng.choice(sys.alphabet_size, size=n + tail, p=sys.weights)
     d = sys.dimension
-    with mpmath.workdps(dps):
+    with mpmath.workdps(60):
         kappa = mpmath.mpf(sys.kappa)
         t_step = -d * mpmath.log(kappa) / (d + 1)
         rots = [mpmath.matrix([[mpmath.mpf(v) for v in row] for row in m.rotation]) for m in sys.maps]

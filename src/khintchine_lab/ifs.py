@@ -22,6 +22,8 @@ import numpy as np
 ORTHOGONALITY_TOL = 1e-12
 COMMON_RATIO_TOL = 1e-14
 WEIGHT_SUM_TOL = 1e-12
+# Depth of the cylinder boxes and semigroup orbits behind check_hypotheses.
+_HYPOTHESIS_DEPTH = 6
 
 # Depth at which 52 bits of mantissa are exhausted twice over; used as the
 # default sampling depth so that truncation sits far below double precision.
@@ -169,10 +171,10 @@ def _validate_word(sys: IfsSystem, word: Sequence[int]) -> np.ndarray:
     return w
 
 
-def diameter_estimate(sys: IfsSystem, depth: int = 8) -> float:
+def diameter_estimate(sys: IfsSystem) -> float:
     """Cheap certified over-estimate of the attractor diameter.
 
-    Spans the cylinder centers at the given depth and pads by the worst-case
+    Spans the cylinder centers at depth 8 and pads by the worst-case
     distance of an attractor point from its cylinder center.  The crude a
     priori bound ``diam <= 2 * max_s |phi_s(p0) - p0| / (1 - kappa)`` supplies
     the padding scale.
@@ -183,6 +185,7 @@ def diameter_estimate(sys: IfsSystem, depth: int = 8) -> float:
     if crude == 0.0:
         return 0.0
     # Keep the center enumeration bounded for large alphabets.
+    depth = 8
     while sys.alphabet_size ** depth > 200_000 and depth > 1:
         depth -= 1
     pts = p0[None, :]
@@ -192,9 +195,7 @@ def diameter_estimate(sys: IfsSystem, depth: int = 8) -> float:
     return span + 2.0 * sys.kappa**depth * crude
 
 
-def coding_point(
-    sys: IfsSystem, word: Sequence[int], base: np.ndarray | None = None
-) -> tuple[np.ndarray, float]:
+def coding_point(sys: IfsSystem, word: Sequence[int]) -> tuple[np.ndarray, float]:
     """Apply ``phi_{b_1} o ... o phi_{b_n}`` to the base point.
 
     Returns the point together with the truncation bound
@@ -202,7 +203,7 @@ def coding_point(
     infinite extension of the word.
     """
     w = _validate_word(sys, word)
-    p = sys.base_point() if base is None else np.asarray(base, dtype=float)
+    p = sys.base_point()
     for s in w[::-1]:
         p = sys.maps[s](p)
     bound = sys.kappa ** len(w) * diameter_estimate(sys)
@@ -218,14 +219,13 @@ def sample_words(
     return rng.choice(sys.alphabet_size, size=(count, depth), p=sys.weights)
 
 
-def points_of_words(sys: IfsSystem, words: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
+def points_of_words(sys: IfsSystem, words: np.ndarray) -> np.ndarray:
     """Vectorized coding points for a batch of equal-length words."""
     words = np.asarray(words, dtype=int)
     if words.ndim != 2:
         raise ValueError("words must be a 2-d array")
     count, depth = words.shape
-    p0 = sys.base_point() if base is None else np.asarray(base, dtype=float)
-    pts = np.broadcast_to(p0, (count, sys.dimension)).copy()
+    pts = np.broadcast_to(sys.base_point(), (count, sys.dimension)).copy()
     for i in range(depth - 1, -1, -1):
         col = words[:, i]
         for s in range(sys.alphabet_size):
@@ -282,16 +282,16 @@ class HypothesesReport:
         }
 
 
-def attractor_bounding_box(maps: Sequence[SimilarityMap], iterations: int = 256) -> tuple[np.ndarray, np.ndarray]:
+def attractor_bounding_box(maps: Sequence[SimilarityMap]) -> tuple[np.ndarray, np.ndarray]:
     """Tight axis-aligned bounding box of the attractor, found by iterating the
-    box-hull operator of the system until it stabilizes."""
+    box-hull operator of the system until it stabilizes (at most 256 times)."""
     p0 = maps[0].fixed_point()
     step = max(float(np.linalg.norm(m(p0) - p0)) for m in maps)
     kmax = max(m.ratio for m in maps)
     radius = step / (1.0 - kmax) + 1.0e-9
     lo = p0 - radius
     hi = p0 + radius
-    for _ in range(iterations):
+    for _ in range(256):
         centers = (lo + hi) / 2.0
         halves = (hi - lo) / 2.0
         new_lo = np.full_like(lo, np.inf)
@@ -327,21 +327,21 @@ def _separated(corners_a: np.ndarray, corners_b: np.ndarray, axes: np.ndarray, t
     return False
 
 
-def _axis_aligned(maps: Sequence[SimilarityMap], tol: float = 1e-12) -> bool:
+def _axis_aligned(maps: Sequence[SimilarityMap]) -> bool:
     for m in maps:
         r = np.abs(m.rotation)
-        if np.max(np.abs(r - np.rint(r))) > tol:
+        if np.max(np.abs(r - np.rint(r))) > 1e-12:
             return False
     return True
 
 
-def check_hypotheses(system_or_maps, depth: int = 6) -> HypothesesReport:
+def check_hypotheses(system_or_maps) -> HypothesesReport:
     """Semi-decidable diagnostics for the standing assumptions.
 
     * common ratio and contraction: decidable, pass/fail;
     * open set condition, tested against the open bounding box of the
       attractor: pass if the box images are contained and pairwise disjoint;
-      if the candidate fails, depth-``depth`` cylinder boxes are compared and
+      if the candidate fails, depth-6 cylinder boxes are compared and
       the verdict is fail only when an overlap of their interiors is certain
       (axis-aligned systems), otherwise inconclusive;
     * irreducibility: pass if the affine span of the semigroup orbit of the
@@ -383,10 +383,10 @@ def check_hypotheses(system_or_maps, depth: int = 6) -> HypothesesReport:
     if contained and disjoint:
         open_set = "pass"
     else:
-        open_set = _refine_osc(maps, lo, hi, depth, tol, notes)
+        open_set = _refine_osc(maps, lo, hi, tol, notes)
 
     # Irreducibility via the affine span of the orbit of a fixed point.
-    irreducible = _irreducibility(maps, depth, notes)
+    irreducible = _irreducibility(maps, notes)
 
     return HypothesesReport(
         common_ratio=common_ratio,
@@ -396,13 +396,13 @@ def check_hypotheses(system_or_maps, depth: int = 6) -> HypothesesReport:
     )
 
 
-def _refine_osc(maps, lo, hi, depth, tol, notes) -> str:
+def _refine_osc(maps, lo, hi, tol, notes) -> str:
     d = maps[0].dimension
     k = len(maps)
-    depth_eff = depth
+    depth_eff = _HYPOTHESIS_DEPTH
     while k**depth_eff > 512 and depth_eff > 1:
         depth_eff -= 1
-    if depth_eff != depth:
+    if depth_eff != _HYPOTHESIS_DEPTH:
         notes.append(f"cylinder refinement capped at depth {depth_eff}")
     corners = _box_corners(lo, hi)
     # depth-n cylinder boxes of the candidate open set, tagged by first symbol
@@ -435,14 +435,14 @@ def _refine_osc(maps, lo, hi, depth, tol, notes) -> str:
     return "inconclusive"
 
 
-def _irreducibility(maps, depth, notes) -> str:
+def _irreducibility(maps, notes) -> str:
     d = maps[0].dimension
     p0 = maps[0].fixed_point()
     frontier = [p0]
     basis: list[np.ndarray] = []
     rank = 0
     seen = 1
-    for _ in range(depth):
+    for _ in range(_HYPOTHESIS_DEPTH):
         nxt = []
         for p in frontier:
             for m in maps:

@@ -41,10 +41,6 @@ class CompactWindow:
             raise ValueError(f"window level must be finite, got {level}")
         object.__setattr__(self, "level", level)
 
-    @property
-    def min_delta(self) -> float:
-        return math.exp(-self.level)
-
     def contains_height(self, l: float) -> bool:
         # closed sublevel set: boundary heights count as inside
         return l <= self.level
@@ -107,9 +103,9 @@ def _gram(rows: list, start: int = 0, data: tuple | None = None) -> tuple[list, 
 _last_reduced: list = [None, None]
 
 
-def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> tuple[np.ndarray, np.ndarray]:
-    """Lovasz-reduce the rows of ``basis``; returns (reduced, U) with
-    reduced = U @ basis and U integer unimodular.
+def lll_reduce(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lovasz-reduce the rows of ``basis`` with the Lovasz constant 0.99;
+    returns (reduced, U) with reduced = U @ basis and U integer unimodular.
 
     Size reduction runs j = i-1..0 with the coefficients mu[i][j] of the
     Gram-Schmidt data taken before the pass; the data is brought up to date
@@ -143,7 +139,7 @@ def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> tuple[np.ndarray, np.n
                 changed = True
         if changed:
             _gram(b, i, data)
-        if norms[i] >= (delta - mu[i][i - 1] ** 2) * norms[i - 1]:
+        if norms[i] >= (0.99 - mu[i][i - 1] ** 2) * norms[i - 1]:
             i += 1
         else:
             b[i - 1], b[i] = b[i], b[i - 1]

@@ -47,6 +47,7 @@ class CrossCheckReport:
     d: int
     q_max: int
     tol: float
+    hits: list  # every HitRecord of the scan, in q order
     hits_checked: int
     degenerate_skipped: int
     below_domain_skipped: int
@@ -112,40 +113,37 @@ def _make_record(q: int, p: np.ndarray, err_q: float, psi_q: float, d: int) -> H
 def scan_hits(x, psi: ApproxFunction, q_max: int, x_exact: Sequence[Fraction] | None = None) -> list[HitRecord]:
     """All q in [1, q_max] with ||q x - p||_inf < psi(q), nearest p.
 
-    With x_exact the comparison is carried out in exact rational arithmetic
-    (psi(q) as the exact value of its double); otherwise in doubles.
+    psi is evaluated as an array, one chunk of q at a time.  With x_exact the
+    comparison is carried out in exact rational arithmetic (psi(q) as the
+    exact value of its double); otherwise in doubles.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = x.size
+    if x_exact is not None and len(x_exact) != d:
+        raise ValueError("x_exact length mismatch")
     out: list[HitRecord] = []
-    if x_exact is not None:
-        if len(x_exact) != d:
-            raise ValueError("x_exact length mismatch")
-        for q in range(1, q_max + 1):
+    for lo in range(1, q_max + 1, _Q_CHUNK):
+        qs = np.arange(lo, min(lo + _Q_CHUNK, q_max + 1))
+        psi_q = np.asarray(psi(qs.astype(float)), dtype=float)
+        if x_exact is None:
+            qx = qs[:, None] * x[None, :]
+            p = np.rint(qx)
+            err = np.max(np.abs(qx - p), axis=1)
+            for i in np.flatnonzero(err < psi_q):
+                out.append(
+                    _make_record(
+                        int(qs[i]), p[i].astype(int), float(err[i]), float(psi_q[i]), d
+                    )
+                )
+            continue
+        for q, psi_f in zip(range(lo, lo + qs.size), psi_q.tolist()):
             qx = [q * xe for xe in x_exact]
             p = [round(v) for v in qx]
             err = max(abs(v - pi) for v, pi in zip(qx, p))
-            psi_q = float(psi(q))
-            if err < Fraction(psi_q):
-                out.append(
-                    _make_record(q, np.array(p, dtype=int), float(err), psi_q, d)
-                )
-        return out
-    qs_all = np.arange(1, q_max + 1)
-    for lo in range(0, q_max, _Q_CHUNK):
-        qs = qs_all[lo : lo + _Q_CHUNK]
-        qx = qs[:, None] * x[None, :]
-        p = np.rint(qx)
-        err = np.max(np.abs(qx - p), axis=1)
-        psi_q = np.asarray(psi(qs.astype(float)), dtype=float)
-        for i in np.flatnonzero(err < psi_q):
-            out.append(
-                _make_record(
-                    int(qs[i]), p[i].astype(int), float(err[i]), float(psi_q[i]), d
-                )
-            )
+            if err < Fraction(psi_f):
+                out.append(_make_record(q, np.array(p, dtype=int), float(err), psi_f, d))
     return out
 
 
@@ -156,15 +154,15 @@ def dani_cross_check(
     q_max: int,
     tol: float = 1e-6,
     x_exact: Sequence[Fraction] | None = None,
-    t_window: tuple[float, float] | None = None,
-    grid_step: float = 0.05,
 ) -> CrossCheckReport:
     """Hit times push the orbit above r; crossings hand back hits.
 
-    Direct: every non-degenerate hit must satisfy l(a_{t*} u_x) >= r(t*) - tol.
-    Converse: on a t grid restricted to t - r(t) <= log q_max, every time
-    with l >= r + tol must yield a witness with 1 <= q <= e^t + 1 and
-    ||q x - p||_inf < psi(q).
+    Direct: every non-degenerate hit of ``scan_hits`` (returned in ``hits``)
+    must satisfy l(a_{t*} u_x) >= r(t*) - tol.
+    Converse: on the t grid of step 0.05 over
+    [t0 + 1e-6, d/(d+1) log q_max + 5), restricted to t - r(t) <= log q_max,
+    every time with l >= r + tol must yield a witness with 1 <= q <= e^t + 1
+    and ||q x - p||_inf < psi(q).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size != d:
@@ -188,11 +186,7 @@ def dani_cross_check(
         checked += 1
         if l_val < r_val - tol:
             direct_violations.append((hit.q, hit.witness_time, l_val, r_val))
-    if t_window is None:
-        t_window = (t0 + 1e-6, d / (d + 1) * math.log(q_max) + 5.0)
-    lo, hi = t_window
-    lo = max(lo, t0 + 1e-9)
-    ts = np.arange(lo, hi, grid_step)
+    ts = np.arange(t0 + 1e-6, d / (d + 1) * math.log(q_max) + 5.0, 0.05)
     converse_violations = []
     crossings = 0
     times_checked = 0
@@ -218,6 +212,7 @@ def dani_cross_check(
         d=d,
         q_max=q_max,
         tol=tol,
+        hits=hits,
         hits_checked=checked,
         degenerate_skipped=degenerate,
         below_domain_skipped=below_domain,

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from khintchine_lab import cli, ifs
+from khintchine_lab import cli, ifs, scan
 from khintchine_lab.cli import ConfigError, build_config
 
 
@@ -78,8 +78,6 @@ def test_every_spec_parameter_is_a_flag(monkeypatch, tmp_path, capsys):
     out = str(tmp_path / "out")
     common = ["--seed", "5", "--workers", "2", "--out", out, "--system", "cantor:2"]
     for command, spec in cli._PARAM_SPECS.items():
-        if command == "report":  # takes its run dirs positionally, builds no config
-            continue
         for name, (caster, default) in spec.items():
             flag, expected = FLAG_VALUES[caster]
             argv = [command, "--" + name.replace("_", "-"), flag] + common
@@ -169,6 +167,28 @@ def test_main_excursions_without_records_exits_1(tmp_path, capsys):
             "--n-max", "50", "--workers", "1", "--out", str(tmp_path)]
     assert cli.main(argv) == 1
     assert "no excursion record" in capsys.readouterr().err
+
+
+def test_approx_scans_once(tmp_path, monkeypatch):
+    # hits.csv and the cross-check verdicts come from one scan of q = 1..q_max
+    calls = []
+    original = scan.scan_hits
+
+    def counted(*args, **kwargs):
+        calls.append(args[3] if len(args) > 3 else kwargs.get("x_exact"))
+        return original(*args, **kwargs)
+
+    for module in (scan, cli):  # every module-level binding of the scan
+        if hasattr(module, "scan_hits"):
+            monkeypatch.setattr(module, "scan_hits", counted)
+    for name, x, exact in (("exact", "3/7", True), ("float", "golden", False)):
+        calls.clear()
+        doc = {"output_dir": str(tmp_path / name), "parameters": {"x": x, "q_max": 200}}
+        manifest = cli.run(build_config("approx", doc, {}))
+        assert len(calls) == 1, name
+        assert (calls[0] is not None) == exact
+        _, rows = read_csv(tmp_path / name / "hits.csv")
+        assert len(rows) == manifest.verdicts["hits"] > 0
 
 
 def test_main_report_missing_manifest_exit_1(tmp_path, capsys):

@@ -29,7 +29,6 @@ def test_bound_constant_doubles():
 def test_gap_plane_needs_no_cubes():
     cert = constants.cover_hyperplane([1], 0.5, 3)
     assert cert.count == 0
-    assert not cert.contains_point([0.5])
 
 
 def test_diagonal_plane_d2_frozen_count():
@@ -72,18 +71,6 @@ def test_certificate_cells_are_admissible_and_unique():
     assert all(int(k) in base for k in cert.cells.ravel())
     packed = cert.cells @ (3**5) ** np.arange(2)
     assert len(set(packed.tolist())) == cert.count
-    for word in constants.cover_hyperplane([1, 1], 1, 2).cubes:
-        assert len(word) == 2
-        assert all(dig in (0, 2) for letter in word for dig in letter)
-
-
-def test_contains_point_matches_cells():
-    cert = constants.cover_hyperplane([1, 1], 1, 4)
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        x = rng.random(2)
-        k = np.floor(x * 3**4).astype(np.int64)
-        assert cert.contains_point(x) == bool(cert.contains_cells(k[None, :])[0])
 
 
 def test_cover_input_validation_and_budget():

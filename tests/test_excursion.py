@@ -300,6 +300,11 @@ def test_rate_budget_rejects_bad_inputs():
         excursion.rate_budget(1 / 3, 1, varpi=0.5, log_Cc=-1.0, eps=0.5, m=5)
     with pytest.raises(ValueError):
         excursion.rate_budget(1 / 3, 1, varpi=0.5, log_Cc=0.0, eps=1.5, m=5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            excursion.rate_budget(1 / 3, 1, varpi=bad, log_Cc=0.0, eps=0.5, m=5)
+        with pytest.raises(ValueError, match="finite"):
+            excursion.rate_budget(1 / 3, 1, varpi=0.5, log_Cc=bad, eps=0.5, m=5)
     with pytest.raises(excursion.InfeasibleBudgetError):
         excursion.rate_budget(1 / 3, 1, varpi=0.5, log_Cc=50.0, eps=0.5, m=1)
 

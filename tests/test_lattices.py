@@ -106,7 +106,6 @@ def test_brute_force_refuses_singular():
 
 def test_window_membership():
     w = lattices.CompactWindow(0.5)
-    assert w.min_delta == pytest.approx(math.exp(-0.5))
     g0 = flows.diagonal_point(np.array([0.5]), 0.0)
     assert lattices.in_window(g0, w)
     deep = flows.diagonal_point(np.array([0.5]), 3.0)  # near-rational cusp ride
