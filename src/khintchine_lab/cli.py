@@ -40,7 +40,7 @@ from .excursion import (
     lipschitz_slack,
     tail_report,
 )
-from .ifs import IfsSystem, cantor_product, load_system, sample_fractal, system_from_json, system_to_json
+from .ifs import IfsSystem, cantor_product, load_system, sample_fractal
 from .lattices import CompactWindow
 from .scan import dani_cross_check, parse_point, survey
 
@@ -257,8 +257,7 @@ def _psi_from_params(params: dict) -> ApproxFunction:
 
 
 def _excursion_task(payload):
-    doc, index, seed, n_max, level, grid_refine = payload
-    system = system_from_json(doc)
+    system, seed, n_max, level, grid_refine = payload
     x = sample_fractal(system, 1, seed=seed)[0]
     window = CompactWindow(level)
     records = diagonal_excursions(x, system.kappa, window, n_max, grid_refine)
@@ -271,8 +270,7 @@ def _excursion_task(payload):
 
 
 def _constants_task(payload):
-    doc, l, n_values, budget, samples, seed, is_cantor = payload
-    system = system_from_json(doc)
+    system, l, n_values, budget, samples, seed, is_cantor = payload
     d = system.dimension
     points = alpha_estimate(
         system, l, n_values, search_budget=budget, seed=seed, sample_count=samples
@@ -322,9 +320,8 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: str):
 def _cmd_excursions(cfg: ExperimentConfig, out_dir: str):
     system = resolve_system(cfg.system)
     p = cfg.parameters
-    doc = system_to_json(system)
     payloads = [
-        (doc, i, _derived_seed(cfg.seed, i), p["n_max"], p["level"], p["grid_refine"])
+        (system, _derived_seed(cfg.seed, i), p["n_max"], p["level"], p["grid_refine"])
         for i in range(p["points"])
     ]
     results = _run_pool(_excursion_task, payloads, cfg.workers)
@@ -354,11 +351,10 @@ def _cmd_dani(cfg: ExperimentConfig, out_dir: str):
     rate = RateFunction.from_psi(psi, d)
     closed_residual = math.nan
     if psi.b == 0.0:
-        slope = (psi.a - 1.0 / d) / (1.0 + psi.a)
         shift = -math.log(psi.c) / (1.0 + psi.a)
         ts = [t for t in np.linspace(rate.t_start, rate.t_start + 40.0, 41)]
         closed_residual = max(
-            abs(r_from_psi(psi, d, t) - (slope * t + shift)) for t in ts
+            abs(r_from_psi(psi, d, t) - (rate.slope * t + shift)) for t in ts
         )
     monotone_ok = rate.check_monotonicity()
     eq = equivalence_check(psi, d, p["alpha"], grid=tuple(grid))
@@ -402,6 +398,9 @@ def _cmd_approx(cfg: ExperimentConfig, out_dir: str):
     x, x_exact = parse_point(p["x"])
     d = x.size
     check = dani_cross_check(x, psi, d, p["q_max"], tol=p["tol"], x_exact=x_exact)
+    if check.hits_checked == 0:
+        # 0 violations over 0 checked hits would pass vacuously
+        raise ValueError("no hit checked: every hit is exact or has its witness time below t0")
     header = ["point_id", "q"] + [f"p_{j}" for j in range(d)] + [
         "error",
         "margin",
@@ -417,6 +416,7 @@ def _cmd_approx(cfg: ExperimentConfig, out_dir: str):
         "hits": len(check.hits),
         "hits_checked": check.hits_checked,
         "degenerate_skipped": check.degenerate_skipped,
+        "below_domain_skipped": check.below_domain_skipped,
         "direct_violations": len(check.direct_violations),
         "converse_crossings": check.crossings,
         "converse_violations": len(check.converse_violations),
@@ -464,10 +464,9 @@ def _cmd_constants(cfg: ExperimentConfig, out_dir: str):
     n_values = list(range(2, p["n_max"] + 1))
     if not n_values:
         raise ConfigError("n_max must be at least 2")
-    doc = system_to_json(system)
     payloads = [
         (
-            doc,
+            system,
             l,
             n_values,
             p["search_budget"],

@@ -1,15 +1,15 @@
 """The psi <-> r correspondence and series/integral convergence bookkeeping.
 
-A non-increasing approximation speed psi on [x0, inf) trades places with a
-rate function r on [t0, inf) through the balance psi(e^{t-r}) = e^{-t/d-r};
+The approximation speed is the power-log family psi(x) = c x^{-a}
+(log(e+x))^{-b} on [x0, inf).  It trades places with a rate function r on
+[t0, inf) through the balance psi(e^{t-r}) = e^{-t/d-r};
 t0 = d/(d+1) log x0 - 1/(d+1) log psi(x0).  For d >= 2 the balance at t0 can
 land slightly below x0, so psi is extended by its value at x0 there; x(t0) =
 e^{t0 - r(t0)} is the exact lower edge of the correspondence.
 
-For the power-log family psi(x) = c x^{-a} (log(e+x))^{-b} and b = 0 the
-rate is affine, r(t) = (a - 1/d) t/(1+a) - log(c)/(1+a); for b > 0 it picks
-up a +(b/(1+a)) log t correction.  These two coefficients are what the
-convergence classifications run on.
+For b = 0 the rate is affine, r(t) = (a - 1/d) t/(1+a) - log(c)/(1+a); for
+b > 0 it picks up a +(b/(1+a)) log t correction.  These two coefficients are
+what the convergence classifications run on.
 """
 
 from __future__ import annotations
@@ -33,59 +33,30 @@ class InvalidPsiError(ValueError):
 
 @dataclass(frozen=True)
 class ApproxFunction:
-    """Non-increasing positive psi, either power-log or tabulated.
+    """The power-log psi(x) = c x^{-a} (log(e+x))^{-b}, frozen at
+    psi(domain_start) below domain_start."""
 
-    Below domain_start the function is frozen at psi(domain_start); above the
-    last tabulated node it is frozen at the last value.
-    """
-
-    family: str
     domain_start: float
     c: float = 1.0
     a: float = 0.0
     b: float = 0.0
-    xs: np.ndarray | None = None
-    values: np.ndarray | None = None
 
     def __post_init__(self):
         if self.domain_start <= 0.0:
             raise ValueError("domain_start must be positive")
-        if self.family == "power_log":
-            if self.c <= 0.0 or self.a < 0.0 or self.b < 0.0:
-                raise ValueError("power_log needs c > 0, a >= 0, b >= 0")
-        elif self.family == "tabulated":
-            xs, vals = self.xs, self.values
-            if xs is None or vals is None or xs.size != vals.size or xs.size < 2:
-                raise ValueError("tabulated needs matching xs/values, length >= 2")
-            if np.any(np.diff(xs) <= 0.0):
-                raise ValueError("tabulated xs must be strictly increasing")
-            if np.any(vals <= 0.0) or np.any(np.diff(vals) > 0.0):
-                raise ValueError("tabulated values must be positive and non-increasing")
-        else:
-            raise ValueError(f"unknown family {self.family!r}")
+        if self.c <= 0.0 or self.a < 0.0 or self.b < 0.0:
+            raise ValueError("power_log needs c > 0, a >= 0, b >= 0")
 
     @classmethod
     def power_log(cls, c: float, a: float, b: float = 0.0, x0: float = 1.0) -> "ApproxFunction":
-        return cls(family="power_log", domain_start=float(x0), c=float(c), a=float(a), b=float(b))
-
-    @classmethod
-    def tabulated(cls, xs, values) -> "ApproxFunction":
-        xs = np.array(xs, dtype=float)
-        values = np.array(values, dtype=float)
-        xs.flags.writeable = False
-        values.flags.writeable = False
-        return cls(family="tabulated", domain_start=float(xs[0]), xs=xs, values=values)
+        return cls(domain_start=float(x0), c=float(c), a=float(a), b=float(b))
 
     def log_eval(self, u):
         """log psi at x = e^u, vectorized, stable for large |u|."""
         u = np.asarray(u, dtype=float)
         u_eff = np.maximum(u, math.log(self.domain_start))
-        if self.family == "power_log":
-            # log(e + x) = logaddexp(1, u) without forming e^u
-            out = math.log(self.c) - self.a * u_eff - self.b * np.log(np.logaddexp(1.0, u_eff))
-        else:
-            x = np.exp(np.minimum(u_eff, math.log(self.xs[-1])))
-            out = np.log(np.interp(x, self.xs, self.values))
+        # log(e + x) = logaddexp(1, u) without forming e^u
+        out = math.log(self.c) - self.a * u_eff - self.b * np.log(np.logaddexp(1.0, u_eff))
         return out if out.ndim else float(out)
 
     def __call__(self, x):
@@ -95,27 +66,13 @@ class ApproxFunction:
         return out if out.ndim else float(out)
 
     def to_json(self) -> dict:
-        if self.family == "power_log":
-            return {
-                "family": "power_log",
-                "c": self.c,
-                "a": self.a,
-                "b": self.b,
-                "x0": self.domain_start,
-            }
         return {
-            "family": "tabulated",
-            "xs": self.xs.tolist(),
-            "values": self.values.tolist(),
+            "family": "power_log",
+            "c": self.c,
+            "a": self.a,
+            "b": self.b,
+            "x0": self.domain_start,
         }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ApproxFunction":
-        if doc.get("family") == "power_log":
-            return cls.power_log(doc["c"], doc["a"], doc.get("b", 0.0), doc.get("x0", 1.0))
-        if doc.get("family") == "tabulated":
-            return cls.tabulated(doc["xs"], doc["values"])
-        raise ValueError(f"unknown psi family {doc.get('family')!r}")
 
 
 def t0_of(psi: ApproxFunction, d: int) -> float:
@@ -162,7 +119,7 @@ def _r_scalar(psi: ApproxFunction, d: int, t: float) -> float:
 def r_from_psi(psi: ApproxFunction, d: int, t):
     """The unique r with psi(e^{t-r}) = e^{-t/d-r}, by bisection.
 
-    For power_log with b = 0 this equals (a - 1/d) t/(1+a) - log(c)/(1+a).
+    For b = 0 this equals (a - 1/d) t/(1+a) - log(c)/(1+a).
     """
     t_arr = np.asarray(t, dtype=float)
     t_min = t0_of(psi, d) - 1e-9
@@ -176,12 +133,12 @@ def r_from_psi(psi: ApproxFunction, d: int, t):
 @dataclass(frozen=True)
 class RateFunction:
     """r on [t_start, inf); slope/log_coeff carry the growth metadata
-    r(t) = slope*t + log_coeff*log t + O(1) when known (None otherwise)."""
+    r(t) = slope*t + log_coeff*log t + O(1)."""
 
     t_start: float
     d: int
     evaluator: Callable
-    slope: float | None = None
+    slope: float
     log_coeff: float = 0.0
 
     def __call__(self, t):
@@ -190,26 +147,13 @@ class RateFunction:
 
     @classmethod
     def from_psi(cls, psi: ApproxFunction, d: int) -> "RateFunction":
-        slope = None
-        log_coeff = 0.0
-        if psi.family == "power_log":
-            slope = (psi.a - 1.0 / d) / (1.0 + psi.a)
-            log_coeff = psi.b / (1.0 + psi.a)
         return cls(
             t_start=t0_of(psi, d),
             d=d,
             evaluator=lambda t: r_from_psi(psi, d, t),
-            slope=slope,
-            log_coeff=log_coeff,
+            slope=(psi.a - 1.0 / d) / (1.0 + psi.a),
+            log_coeff=psi.b / (1.0 + psi.a),
         )
-
-    @classmethod
-    def tabulated(cls, ts, rs, d: int) -> "RateFunction":
-        ts = np.array(ts, dtype=float)
-        rs = np.array(rs, dtype=float)
-        if ts.size != rs.size or ts.size < 2 or np.any(np.diff(ts) <= 0.0):
-            raise ValueError("need matching strictly increasing ts")
-        return cls(t_start=float(ts[0]), d=d, evaluator=lambda t: np.interp(t, ts, rs))
 
     def check_monotonicity(self, span: float = 30.0, n: int = 1000) -> bool:
         """t - r strictly increasing, t/d + r non-decreasing (to 1e-9), on a grid."""
@@ -257,14 +201,10 @@ def psi_from_r(rate: RateFunction, d: int, x: float) -> float:
 
 @dataclass(frozen=True)
 class SeriesVerdict:
-    decision: str  # converges | diverges | numeric
-    exact: bool
-    converging_partial_sums: bool | None = None
+    decision: str  # converges | diverges
     note: str = ""
 
     def converges(self) -> bool:
-        if self.decision == "numeric":
-            return bool(self.converging_partial_sums)
         return self.decision == "converges"
 
 
@@ -275,53 +215,27 @@ def _power_verdict(power: float, log_power: float, note: str) -> SeriesVerdict:
         decision = "converges" if log_power > 1.0 else "diverges"
     else:
         decision = "converges" if power < -1.0 else "diverges"
-    return SeriesVerdict(decision=decision, exact=True, note=note)
+    return SeriesVerdict(decision=decision, note=note)
 
 
 def classify_khintchine_series(psi: ApproxFunction, d: int, alpha: float) -> SeriesVerdict:
     """Convergence of sum x^(alpha/d - 1) psi(x)^alpha."""
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    if psi.family == "power_log":
-        power = alpha / d - 1.0 - psi.a * alpha
-        return _power_verdict(power, psi.b * alpha, note=f"exponent {power:.6g}")
-    ks = np.arange(0, max(2, int(math.log2(psi.xs[-1]))))
-    x = np.maximum(2.0**ks, psi.domain_start)
-    terms = x * x ** (alpha / d - 1.0) * np.asarray(psi(x)) ** alpha
-    ratios = terms[1:] / terms[:-1]
-    converging = bool(ratios.size >= 3 and np.all(ratios[-3:] <= 0.97))
-    return SeriesVerdict(
-        decision="numeric",
-        exact=False,
-        converging_partial_sums=converging,
-        note="condensation heuristic on tabulated data",
-    )
+    power = alpha / d - 1.0 - psi.a * alpha
+    return _power_verdict(power, psi.b * alpha, note=f"exponent {power:.6g}")
 
 
 def classify_rate_series(rate: RateFunction, gamma: float) -> SeriesVerdict:
     """Convergence of sum_t exp(-gamma r(t))."""
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    if rate.slope is not None:
-        s = rate.slope
-        if abs(s) <= BORDERLINE_TOL:
-            decision = "converges" if gamma * rate.log_coeff > 1.0 else "diverges"
-        else:
-            decision = "converges" if s > 0.0 else "diverges"
-        return SeriesVerdict(decision=decision, exact=True, note=f"slope {s:.6g}")
-    t_lo = math.ceil(rate.t_start)
-    blocks = []
-    for k in range(12):
-        ts = np.arange(t_lo + 2**k - 1, t_lo + 2 ** (k + 1) - 1, dtype=float)
-        blocks.append(float(np.sum(np.exp(-gamma * rate(ts)))))
-    ratios = np.array(blocks[1:]) / np.maximum(np.array(blocks[:-1]), 1e-300)
-    converging = bool(np.all(ratios[-3:] <= 0.97))
-    return SeriesVerdict(
-        decision="numeric",
-        exact=False,
-        converging_partial_sums=converging,
-        note="dyadic block sums",
-    )
+    s = rate.slope
+    if abs(s) <= BORDERLINE_TOL:
+        decision = "converges" if gamma * rate.log_coeff > 1.0 else "diverges"
+    else:
+        decision = "converges" if s > 0.0 else "diverges"
+    return SeriesVerdict(decision=decision, note=f"slope {s:.6g}")
 
 
 @dataclass(frozen=True)
@@ -378,10 +292,7 @@ def equivalence_check(
     ratios = i_psi / i_r
     psi_v = classify_khintchine_series(psi, d, alpha)
     rate_v = classify_rate_series(rate, gamma)
-    if psi.family == "power_log":
-        q0_psi = _power_verdict(-psi.a * d, psi.b * d, note=f"exponent {-psi.a * d:.6g}")
-    else:
-        q0_psi = classify_khintchine_series(psi, d, float(d))  # alpha=d gives psi^d x^0
+    q0_psi = _power_verdict(-psi.a * d, psi.b * d, note=f"exponent {-psi.a * d:.6g}")
     q0_rate = classify_rate_series(rate, float(d + 1))
     return EquivalenceReport(
         alpha=alpha,

@@ -41,11 +41,8 @@ class ExcursionRecord:
     end_step: int
     length: int
     peak: float | None
-    flavor: str
 
     def __post_init__(self):
-        if self.flavor not in ("walk", "diagonal"):
-            raise ValueError("flavor must be 'walk' or 'diagonal'")
         if self.length < 1 or self.start_step >= self.end_step:
             raise ValueError("excursion must advance by at least one step")
 
@@ -178,7 +175,7 @@ def return_times(heights, window: CompactWindow) -> np.ndarray:
     return np.flatnonzero(h <= window.level) + 1
 
 
-def excursions(returns, flavor: str = "walk", peaks=None) -> list[ExcursionRecord]:
+def excursions(returns, peaks=None) -> list[ExcursionRecord]:
     """Records (sigma^0 = tau^1, then the gaps between consecutive returns)."""
     rets = np.asarray(returns, dtype=int)
     if rets.size and (rets[0] < 1 or np.any(np.diff(rets) <= 0)):
@@ -194,7 +191,6 @@ def excursions(returns, flavor: str = "walk", peaks=None) -> list[ExcursionRecor
                 end_step=int(r),
                 length=int(r - prev),
                 peak=peak,
-                flavor=flavor,
             )
         )
         prev = r
@@ -231,7 +227,7 @@ def diagonal_excursions(
         hi = r * grid_refine
         peaks.append(float(grid[lo : hi + 1].max()) + slack)
         prev = r
-    return excursions(rets, flavor="diagonal", peaks=peaks)
+    return excursions(rets, peaks=peaks)
 
 
 def growth_bound_check(

@@ -22,8 +22,6 @@ import numpy as np
 ORTHOGONALITY_TOL = 1e-12
 COMMON_RATIO_TOL = 1e-14
 WEIGHT_SUM_TOL = 1e-12
-# Depth of the cylinder boxes and semigroup orbits behind check_hypotheses.
-_HYPOTHESIS_DEPTH = 6
 
 # Depth at which 52 bits of mantissa are exhausted twice over; used as the
 # default sampling depth so that truncation sits far below double precision.
@@ -261,210 +259,6 @@ def sample_fractal(
         out[done : done + k] = points_of_words(sys, words)
         done += k
     return out
-
-
-# ---------------------------------------------------------------------------
-# hypothesis checks
-
-
-@dataclass(frozen=True)
-class HypothesesReport:
-    common_ratio: str
-    open_set: str
-    irreducible: str
-    notes: tuple[str, ...] = ()
-
-    def verdicts(self) -> dict:
-        return {
-            "common_ratio": self.common_ratio,
-            "open_set": self.open_set,
-            "irreducible": self.irreducible,
-        }
-
-
-def attractor_bounding_box(maps: Sequence[SimilarityMap]) -> tuple[np.ndarray, np.ndarray]:
-    """Tight axis-aligned bounding box of the attractor, found by iterating the
-    box-hull operator of the system until it stabilizes (at most 256 times)."""
-    p0 = maps[0].fixed_point()
-    step = max(float(np.linalg.norm(m(p0) - p0)) for m in maps)
-    kmax = max(m.ratio for m in maps)
-    radius = step / (1.0 - kmax) + 1.0e-9
-    lo = p0 - radius
-    hi = p0 + radius
-    for _ in range(256):
-        centers = (lo + hi) / 2.0
-        halves = (hi - lo) / 2.0
-        new_lo = np.full_like(lo, np.inf)
-        new_hi = np.full_like(hi, -np.inf)
-        for m in maps:
-            c = m(centers)
-            h = m.ratio * (halves @ np.abs(m.rotation))
-            new_lo = np.minimum(new_lo, c - h)
-            new_hi = np.maximum(new_hi, c + h)
-        if np.allclose(new_lo, lo, rtol=0.0, atol=1e-16) and np.allclose(
-            new_hi, hi, rtol=0.0, atol=1e-16
-        ):
-            lo, hi = new_lo, new_hi
-            break
-        lo, hi = new_lo, new_hi
-    return lo, hi
-
-
-def _box_corners(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    d = lo.size
-    combos = np.array(list(itertools.product((0, 1), repeat=d)), dtype=float)
-    return lo + combos * (hi - lo)
-
-
-def _separated(corners_a: np.ndarray, corners_b: np.ndarray, axes: np.ndarray, tol: float) -> bool:
-    # Separating-axis test restricted to face normals; exact when both shapes
-    # are axis-aligned, conservative otherwise.
-    for ax in axes:
-        pa = corners_a @ ax
-        pb = corners_b @ ax
-        if pa.max() <= pb.min() + tol or pb.max() <= pa.min() + tol:
-            return True
-    return False
-
-
-def _axis_aligned(maps: Sequence[SimilarityMap]) -> bool:
-    for m in maps:
-        r = np.abs(m.rotation)
-        if np.max(np.abs(r - np.rint(r))) > 1e-12:
-            return False
-    return True
-
-
-def check_hypotheses(system_or_maps) -> HypothesesReport:
-    """Semi-decidable diagnostics for the standing assumptions.
-
-    * common ratio and contraction: decidable, pass/fail;
-    * open set condition, tested against the open bounding box of the
-      attractor: pass if the box images are contained and pairwise disjoint;
-      if the candidate fails, depth-6 cylinder boxes are compared and
-      the verdict is fail only when an overlap of their interiors is certain
-      (axis-aligned systems), otherwise inconclusive;
-    * irreducibility: pass if the affine span of the semigroup orbit of the
-      first map's fixed point is full, inconclusive otherwise.
-    """
-    if isinstance(system_or_maps, IfsSystem):
-        maps = list(system_or_maps.maps)
-    else:
-        maps = list(system_or_maps)
-    if not maps:
-        raise ValueError("need at least one map")
-    d = maps[0].dimension
-    notes: list[str] = []
-
-    kappa = maps[0].ratio
-    ratios_ok = all(abs(m.ratio - kappa) <= COMMON_RATIO_TOL for m in maps)
-    contracting = all(0.0 < m.ratio < 1.0 for m in maps)
-    common_ratio = "pass" if (ratios_ok and contracting) else "fail"
-    if not ratios_ok:
-        notes.append("maps do not share a single contraction ratio")
-
-    # Open set condition against the open attractor bounding box.
-    lo, hi = attractor_bounding_box(maps)
-    scale = float(np.max(hi - lo)) or 1.0
-    tol = 1e-12 * scale
-    corners = _box_corners(lo, hi)
-    images = [m(corners) for m in maps]
-    contained = all(
-        np.all(img >= lo - tol) and np.all(img <= hi + tol) for img in images
-    )
-    axes = np.eye(d)
-    extra_axes = [m.rotation for m in maps]
-    all_axes = np.concatenate([axes] + extra_axes, axis=0)
-    disjoint = True
-    for i in range(len(maps)):
-        for j in range(i + 1, len(maps)):
-            if not _separated(images[i], images[j], all_axes, tol):
-                disjoint = False
-    if contained and disjoint:
-        open_set = "pass"
-    else:
-        open_set = _refine_osc(maps, lo, hi, tol, notes)
-
-    # Irreducibility via the affine span of the orbit of a fixed point.
-    irreducible = _irreducibility(maps, notes)
-
-    return HypothesesReport(
-        common_ratio=common_ratio,
-        open_set=open_set,
-        irreducible=irreducible,
-        notes=tuple(notes),
-    )
-
-
-def _refine_osc(maps, lo, hi, tol, notes) -> str:
-    d = maps[0].dimension
-    k = len(maps)
-    depth_eff = _HYPOTHESIS_DEPTH
-    while k**depth_eff > 512 and depth_eff > 1:
-        depth_eff -= 1
-    if depth_eff != _HYPOTHESIS_DEPTH:
-        notes.append(f"cylinder refinement capped at depth {depth_eff}")
-    corners = _box_corners(lo, hi)
-    # depth-n cylinder boxes of the candidate open set, tagged by first symbol
-    boxes = [(s, maps[s](corners)) for s in range(k)]
-    for _ in range(depth_eff - 1):
-        boxes = [(tag, m(c)) for tag, c in boxes for m in maps]
-    exact = _axis_aligned(maps)
-    axes = np.eye(d)
-    overlap_found = False
-    for i in range(len(boxes)):
-        tag_i, ci = boxes[i]
-        ilo, ihi = ci.min(axis=0), ci.max(axis=0)
-        for j in range(i + 1, len(boxes)):
-            tag_j, cj = boxes[j]
-            if tag_i == tag_j:
-                continue
-            jlo, jhi = cj.min(axis=0), cj.max(axis=0)
-            widths = np.minimum(ihi, jhi) - np.maximum(ilo, jlo)
-            if np.all(widths > tol):
-                overlap_found = True
-                break
-        if overlap_found:
-            break
-    if overlap_found and exact:
-        return "fail"
-    if overlap_found:
-        notes.append("rotated cylinder boxes overlap; separation undecided")
-        return "inconclusive"
-    notes.append("candidate box failed but no cylinder overlap detected")
-    return "inconclusive"
-
-
-def _irreducibility(maps, notes) -> str:
-    d = maps[0].dimension
-    p0 = maps[0].fixed_point()
-    frontier = [p0]
-    basis: list[np.ndarray] = []
-    rank = 0
-    seen = 1
-    for _ in range(_HYPOTHESIS_DEPTH):
-        nxt = []
-        for p in frontier:
-            for m in maps:
-                q = m(p)
-                nxt.append(q)
-                v = q - p0
-                # incremental Gram-Schmidt against the accumulated span
-                for b in basis:
-                    v = v - (v @ b) * b
-                norm = np.linalg.norm(v)
-                if norm > 1e-9:
-                    basis.append(v / norm)
-                    rank += 1
-                    if rank == d:
-                        return "pass"
-        frontier = nxt
-        seen += len(nxt)
-        if seen > 20_000:
-            notes.append("orbit enumeration capped")
-            break
-    notes.append(f"orbit affine rank {rank} < {d}")
-    return "inconclusive"
 
 
 # ---------------------------------------------------------------------------

@@ -396,7 +396,7 @@ def test_a13_band_survey(criterion):
         tail = [f for b, f in zip(bands, fracs) if b.k >= 5]
         monotone = all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
         top_small = fracs[-1] <= 0.05
-        ones = ApproxFunction.tabulated([1.0, 2.0], [1.0, 1.0])
+        ones = ApproxFunction.power_log(1.0, 0.0)
         control = scan.survey(sys, ones, 1000, 10_000, seed=0)
         control_ok = all(b.fraction == 1.0 for b in control)
         elapsed = time.perf_counter() - start

@@ -140,6 +140,31 @@ def test_main_approx_end_to_end(tmp_path, capsys):
         verdicts = json.load(fh)["verdicts"]
     assert verdicts["direct_violations"] == 0
     assert verdicts["converse_violations"] == 0
+    skipped = verdicts["degenerate_skipped"] + verdicts["below_domain_skipped"]
+    assert verdicts["hits"] == verdicts["hits_checked"] + skipped
+
+
+def test_approx_verdicts_count_below_domain_skips(tmp_path):
+    # with x0 = 5 the witness time of the hit at q = 3 lies below t0: it is
+    # skipped and counted, not lost
+    doc = {
+        "output_dir": str(tmp_path),
+        "parameters": {"x": "golden", "q_max": 1000, "psi_x0": 5.0},
+    }
+    verdicts = cli.run(build_config("approx", doc, {})).verdicts
+    assert verdicts["below_domain_skipped"] == 1
+    skipped = verdicts["degenerate_skipped"] + verdicts["below_domain_skipped"]
+    assert verdicts["hits"] == verdicts["hits_checked"] + skipped == 13
+
+
+def test_main_approx_without_checked_hits_exits_1(tmp_path, capsys):
+    # every hit of 3/7 under psi frozen at psi(50) is exact: the direct check
+    # would judge nothing
+    argv = ["approx", "--x", "3/7", "--q-max", "200", "--psi-x0", "50",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert "no hit checked" in capsys.readouterr().err
+    assert not (tmp_path / "hits.csv").exists()
 
 
 def test_main_config_errors_exit_2(tmp_path, capsys):

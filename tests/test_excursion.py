@@ -206,7 +206,6 @@ def test_excursions_segmentation():
     assert [r.length for r in recs] == [2, 1, 4]
     assert [r.start_step for r in recs] == [0, 2, 3]
     assert [r.end_step for r in recs] == [2, 3, 7]
-    assert all(r.flavor == "walk" for r in recs)
     assert recs[0].index == 0  # sigma^0 ends at the first return
 
 
@@ -254,9 +253,7 @@ def test_growth_bound_holds_on_samples():
 
 def test_growth_bound_flags_fabricated_violation():
     window = lattices.CompactWindow(1.0)
-    fake = excursion.ExcursionRecord(
-        index=0, start_step=0, end_step=2, length=2, peak=50.0, flavor="diagonal"
-    )
+    fake = excursion.ExcursionRecord(index=0, start_step=0, end_step=2, length=2, peak=50.0)
     bad = excursion.growth_bound_check([fake], window, 1 / 3, 1)
     assert bad == [fake]
 

@@ -145,20 +145,12 @@ def test_diameter_estimate_cantor():
     assert math.sqrt(2.0) <= d2 <= math.sqrt(2.0) + 0.01
 
 
-def test_check_hypotheses_cantor_passes():
-    rep = ifs.check_hypotheses(ifs.cantor_product(2))
-    verdicts = rep.verdicts()
-    assert verdicts["common_ratio"] == "pass"
-    assert verdicts["open_set"] == "pass"
-    assert verdicts["irreducible"] in ("pass", "unverified")
-
-
-def test_check_hypotheses_flags_bad_ratio():
+def test_system_rejects_mixed_ratios():
     maps = (
         ifs.SimilarityMap(0.3, np.eye(1), np.zeros(1)),
         ifs.SimilarityMap(0.5, np.eye(1), np.array([0.5])),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="one contraction ratio"):
         ifs.IfsSystem(maps=maps, weights=np.array([0.5, 0.5]))
 
 

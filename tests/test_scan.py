@@ -120,7 +120,7 @@ def test_cross_check_skips_degenerate_hits():
 
 def test_survey_control_function_hits_every_band():
     sys = ifs.cantor_product(1)
-    ones = ApproxFunction.tabulated([1.0, 2.0], [1.0, 1.0])
+    ones = ApproxFunction.power_log(1.0, 0.0)
     bands = scan.survey(sys, ones, 40, 64, seed=5)
     assert [b.fraction for b in bands] == [1.0] * len(bands)
     assert [b.n_uncertain for b in bands] == [0] * len(bands)
