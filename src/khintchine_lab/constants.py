@@ -29,7 +29,7 @@ import numpy as np
 from .ifs import IfsSystem, sample_fractal
 
 ORTHONORMAL_TOL = 1e-12
-_MASS_CHUNK = 1 << 19
+_MASS_CHUNK = 1 << 15
 _Z_95 = 1.959963984540054
 
 
@@ -252,14 +252,28 @@ class AlphaPoint:
 
 
 def subspace_mass(query: SubspaceQuery, points: np.ndarray) -> float:
-    """Fraction of points within Euclidean epsilon of the subspace."""
-    rows = np.asarray(query.normal_rows, dtype=float)
-    off = np.asarray(query.offset, dtype=float)
+    """Fraction of points within Euclidean epsilon of the subspace.
+
+    Each normal row's distance sum_j r_j x_j - o is built one coordinate
+    column at a time in plain float arithmetic, so the count does not depend
+    on the BLAS build.  A Fortran-ordered ``points`` makes the columns
+    contiguous.
+    """
+    rows = np.asarray(query.normal_rows, dtype=float).tolist()
+    off = np.asarray(query.offset, dtype=float).tolist()
     eps2 = query.epsilon**2
     count = 0
     for lo in range(0, points.shape[0], _MASS_CHUNK):
-        y = points[lo : lo + _MASS_CHUNK] @ rows.T - off
-        count += int(np.count_nonzero(np.einsum("ij,ij->i", y, y) < eps2))
+        cols = points[lo : lo + _MASS_CHUNK].T
+        dist2 = None
+        for r, o in zip(rows, off):
+            y = r[0] * cols[0]
+            for r_j, x_j in zip(r[1:], cols[1:]):
+                y += r_j * x_j
+            y -= o
+            y *= y
+            dist2 = y if dist2 is None else dist2 + y
+        count += int(np.count_nonzero(dist2 < eps2))
     return count / points.shape[0]
 
 
@@ -290,6 +304,8 @@ def alpha_estimate(
         raise ValueError("search_budget and sample_count must be positive")
     rng = np.random.default_rng(seed)
     pts = sample_fractal(sys, sample_count, seed=int(rng.integers(2**32)))
+    # column-major copy, so subspace_mass reads each coordinate contiguously
+    pts_by_column = np.asfortranarray(pts)
     out = []
     for n in n_range:
         epsilon = 3.0**-n
@@ -305,7 +321,7 @@ def alpha_estimate(
             except ValueError:
                 return
             budget -= 1
-            m = subspace_mass(q, pts)
+            m = subspace_mass(q, pts_by_column)
             if best is None or m > best[0]:
                 best = (m, q)
 

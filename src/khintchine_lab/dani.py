@@ -202,20 +202,19 @@ def psi_from_r(rate: RateFunction, d: int, x: float) -> float:
 @dataclass(frozen=True)
 class SeriesVerdict:
     decision: str  # converges | diverges
-    note: str = ""
 
     def converges(self) -> bool:
         return self.decision == "converges"
 
 
-def _power_verdict(power: float, log_power: float, note: str) -> SeriesVerdict:
+def _power_verdict(power: float, log_power: float) -> SeriesVerdict:
     """Verdict for sum/integral of x^power (log x)^(-log_power) dx."""
     scale = max(1.0, abs(power))
     if abs(power + 1.0) <= BORDERLINE_TOL * scale:
         decision = "converges" if log_power > 1.0 else "diverges"
     else:
         decision = "converges" if power < -1.0 else "diverges"
-    return SeriesVerdict(decision=decision, note=note)
+    return SeriesVerdict(decision=decision)
 
 
 def classify_khintchine_series(psi: ApproxFunction, d: int, alpha: float) -> SeriesVerdict:
@@ -223,7 +222,7 @@ def classify_khintchine_series(psi: ApproxFunction, d: int, alpha: float) -> Ser
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     power = alpha / d - 1.0 - psi.a * alpha
-    return _power_verdict(power, psi.b * alpha, note=f"exponent {power:.6g}")
+    return _power_verdict(power, psi.b * alpha)
 
 
 def classify_rate_series(rate: RateFunction, gamma: float) -> SeriesVerdict:
@@ -235,13 +234,11 @@ def classify_rate_series(rate: RateFunction, gamma: float) -> SeriesVerdict:
         decision = "converges" if gamma * rate.log_coeff > 1.0 else "diverges"
     else:
         decision = "converges" if s > 0.0 else "diverges"
-    return SeriesVerdict(decision=decision, note=f"slope {s:.6g}")
+    return SeriesVerdict(decision=decision)
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    alpha: float
-    d: int
     gamma: float
     truncations: tuple
     i_psi: np.ndarray
@@ -292,11 +289,9 @@ def equivalence_check(
     ratios = i_psi / i_r
     psi_v = classify_khintchine_series(psi, d, alpha)
     rate_v = classify_rate_series(rate, gamma)
-    q0_psi = _power_verdict(-psi.a * d, psi.b * d, note=f"exponent {-psi.a * d:.6g}")
+    q0_psi = _power_verdict(-psi.a * d, psi.b * d)
     q0_rate = classify_rate_series(rate, float(d + 1))
     return EquivalenceReport(
-        alpha=alpha,
-        d=d,
         gamma=gamma,
         truncations=tuple(grid),
         i_psi=i_psi,

@@ -224,6 +224,17 @@ def points_of_words(sys: IfsSystem, words: np.ndarray) -> np.ndarray:
         raise ValueError("words must be a 2-d array")
     count, depth = words.shape
     pts = np.broadcast_to(sys.base_point(), (count, sys.dimension)).copy()
+    eye = np.eye(sys.dimension)
+    if all(m.ratio == sys.kappa and np.array_equal(m.rotation, eye) for m in sys.maps):
+        # Horner step p <- kappa p + t_s: the same floats as the masked loop,
+        # since x @ I is exactly x
+        table = np.array([m.translation for m in sys.maps])
+        step = np.empty_like(pts)
+        for i in range(depth - 1, -1, -1):
+            pts *= sys.kappa
+            np.take(table, words[:, i], axis=0, out=step)
+            pts += step
+        return pts
     for i in range(depth - 1, -1, -1):
         col = words[:, i]
         for s in range(sys.alphabet_size):

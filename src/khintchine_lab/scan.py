@@ -43,10 +43,6 @@ class HitRecord:
 
 @dataclass(frozen=True)
 class CrossCheckReport:
-    x: np.ndarray
-    d: int
-    q_max: int
-    tol: float
     hits: list  # every HitRecord of the scan, in q order
     hits_checked: int
     degenerate_skipped: int
@@ -208,10 +204,6 @@ def dani_cross_check(
         if q < 1 or q > math.exp(t) + 1.0 or not err < psi_q:
             converse_violations.append((float(t), q, err, psi_q))
     return CrossCheckReport(
-        x=x,
-        d=d,
-        q_max=q_max,
-        tol=tol,
         hits=hits,
         hits_checked=checked,
         degenerate_skipped=degenerate,
@@ -243,9 +235,14 @@ def survey(
         return []
     if depth is None:
         depth = sys.default_depth()
-    points = sample_fractal(sys, sample_count, depth=depth, seed=seed)
+    coords = np.ascontiguousarray(
+        sample_fractal(sys, sample_count, depth=depth, seed=seed).T
+    )  # (d, N): one row per coordinate
     trunc = sys.kappa**depth * diameter_estimate(sys)
     n_bands = q_max.bit_length()
+    # each (N, chunk) block holds at most 2^22 / d floats
+    chunk = max(1, (1 << 22) // (sample_count * sys.dimension))
+    err_buf, dist_buf, near_buf = (np.empty((sample_count, min(chunk, q_max))) for _ in range(3))
     stats = []
     for k in range(n_bands):
         q_lo = 2**k
@@ -253,17 +250,25 @@ def survey(
         certain = np.zeros(sample_count, dtype=bool)
         uncertain = np.zeros(sample_count, dtype=bool)
         qs_all = np.arange(q_lo, q_hi + 1)
-        # keep the (N, chunk, d) block near 2^22 floats
-        chunk = max(1, (1 << 22) // max(1, sample_count * sys.dimension))
         for lo in range(0, qs_all.size, chunk):
             qs = qs_all[lo : lo + chunk].astype(float)
             psi_q = np.asarray(psi(qs), dtype=float)
-            qx = points[:, None, :] * qs[None, :, None]  # (N, chunk, d)
-            err = np.max(np.abs(qx - np.rint(qx)), axis=2)
-            margin = psi_q[None, :] - err
-            guard = qs[None, :] * trunc
+            # err = max_j |q x_j - rint(q x_j)|, folded one coordinate at a time
+            err = err_buf[:, : qs.size]
+            dist = dist_buf[:, : qs.size]
+            near = near_buf[:, : qs.size]
+            for j, x_j in enumerate(coords):
+                block = dist if j else err
+                np.multiply(x_j[:, None], qs, out=block)
+                np.rint(block, out=near)
+                np.subtract(block, near, out=block)
+                np.abs(block, out=block)
+                if j:
+                    np.maximum(err, dist, out=err)
+            margin = np.subtract(psi_q, err, out=err)
+            guard = qs * trunc
             certain |= np.any(margin > guard, axis=1)
-            uncertain |= np.any(np.abs(margin) <= guard, axis=1)
+            uncertain |= np.any(np.abs(margin, out=margin) <= guard, axis=1)
         uncertain &= ~certain
         stats.append(
             BandStat(

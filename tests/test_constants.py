@@ -119,6 +119,40 @@ def test_subspace_mass_counts_band():
     assert constants.subspace_mass(q, pts) == pytest.approx(0.5)
 
 
+def _direct_mass(query, points):
+    # per point, sum_j r_j x_j - o per normal row, squared and summed
+    inside = 0
+    for x in points.tolist():
+        dist2 = 0.0
+        for r, o in zip(query.normal_rows.tolist(), query.offset.tolist()):
+            y = r[0] * x[0]
+            for r_j, x_j in zip(r[1:], x[1:]):
+                y += r_j * x_j
+            y -= o
+            dist2 += y * y
+        inside += dist2 < query.epsilon**2
+    return inside / len(points)
+
+
+@pytest.mark.parametrize("d, l", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_subspace_mass_matches_direct_count(d, l):
+    pts = ifs.sample_fractal(ifs.cantor_product(d), 400, seed=d + 10 * l)
+    rng = np.random.default_rng(31)
+    queries = []
+    for n in (1, 2, 4):
+        for j in rng.integers(0, len(pts), size=3):
+            # an axis plane through a sample point (that point at distance
+            # exactly 0) and a random frame through the same point
+            subset = sorted(rng.choice(d, size=l, replace=False).tolist())
+            queries.append(SubspaceQuery(np.eye(d)[subset], pts[j][subset], 3.0**-n))
+            frame = np.linalg.qr(rng.standard_normal((d, l)))[0].T
+            queries.append(SubspaceQuery(frame, frame @ pts[j], 3.0**-n))
+    for q in queries:
+        mass = constants.subspace_mass(q, pts)
+        assert mass == _direct_mass(q, pts) >= 1 / len(pts)
+        assert constants.subspace_mass(q, np.asfortranarray(pts)) == mass
+
+
 def test_alpha_estimate_finds_axis_planes():
     sys = ifs.cantor_product(2)
     pts = constants.alpha_estimate(

@@ -106,13 +106,54 @@ def test_coding_point_d2_componentwise():
 
 
 def test_points_of_words_matches_scalar_coding():
-    sys = ifs.cantor_product(2)
+    # the Horner step of identity-rotation systems makes the same float
+    # operations as applying the maps one by one
     rng = np.random.default_rng(9)
-    words = ifs.sample_words(sys, 12, 40, rng)
+    for d in (1, 2, 3):
+        sys = ifs.cantor_product(d)
+        words = ifs.sample_words(sys, 12, 40, rng)
+        pts = ifs.points_of_words(sys, words)
+        for row, word in zip(pts, words):
+            scalar, _ = ifs.coding_point(sys, tuple(word))
+            np.testing.assert_array_equal(row, scalar)
+
+
+@pytest.mark.parametrize(
+    "rotation",
+    [
+        [[0.0, -1.0], [1.0, 0.0]],  # quarter turn
+        [[0.6, 0.8], [-0.8, 0.6]],  # generic rotation
+        [[1.0, 0.0], [0.0, -1.0]],  # reflection
+    ],
+)
+def test_points_of_words_general_rotations(rotation):
+    rot = np.array(rotation)
+    maps = (
+        ifs.SimilarityMap(0.4, np.eye(2), np.array([0.0, 0.0])),
+        ifs.SimilarityMap(0.4, rot, np.array([0.6, 0.2])),
+    )
+    sys = ifs.IfsSystem(maps=maps, weights=np.array([0.3, 0.7]))
+    rng = np.random.default_rng(17)
+    words = ifs.sample_words(sys, 15, 50, rng)
     pts = ifs.points_of_words(sys, words)
     for row, word in zip(pts, words):
         scalar, _ = ifs.coding_point(sys, tuple(word))
-        np.testing.assert_allclose(row, scalar, atol=1e-12)
+        np.testing.assert_allclose(row, scalar, rtol=0, atol=1e-12)
+
+
+def test_points_of_words_keeps_each_map_ratio():
+    # ratios within COMMON_RATIO_TOL of each other are one system, but each
+    # map still contracts by its own ratio
+    maps = (
+        ifs.SimilarityMap(0.4, np.eye(2), np.array([0.0, 0.0])),
+        ifs.SimilarityMap(0.4 + 4e-15, np.eye(2), np.array([0.6, 0.2])),
+    )
+    sys = ifs.IfsSystem(maps=maps, weights=np.array([0.5, 0.5]))
+    words = ifs.sample_words(sys, 30, 50, np.random.default_rng(23))
+    pts = ifs.points_of_words(sys, words)
+    for row, word in zip(pts, words):
+        scalar, _ = ifs.coding_point(sys, tuple(word))
+        np.testing.assert_array_equal(row, scalar)
 
 
 def test_sample_fractal_deterministic_and_chunk_invariant():

@@ -152,3 +152,59 @@ def test_survey_uncertain_band_near_threshold():
     deep = scan.survey(sys, psi, 50, 100, depth=40, seed=2)
     assert sum(s.n_uncertain for s in shallow) >= sum(s.n_uncertain for s in deep)
     assert sum(s.n_uncertain for s in deep) == 0
+
+
+def _naive_band_counts(points, psi, q_max, trunc):
+    # per point and per q, the float formula of survey written out in Python
+    out = []
+    for k in range(q_max.bit_length()):
+        qs = range(2**k, min(2 ** (k + 1) - 1, q_max) + 1)
+        psi_q = psi(np.array(qs, dtype=float)).tolist()
+        n_certain = n_uncertain = 0
+        for x in points.tolist():
+            certain = uncertain = False
+            for q, psi_f in zip(qs, psi_q):
+                err = max(abs(q * x_j - round(q * x_j)) for x_j in x)
+                margin = psi_f - err
+                guard = q * trunc
+                certain |= margin > guard
+                uncertain |= abs(margin) <= guard
+            n_certain += certain
+            n_uncertain += uncertain and not certain
+        out.append((n_certain, n_uncertain))
+    return out
+
+
+@pytest.mark.parametrize("depth", [3, 8, None])
+def test_survey_matches_naive_loop(depth):
+    sys = ifs.cantor_product(2)
+    psi = ApproxFunction.power_log(1.0, 1.5)
+    count, q_max, seed = 25, 100, 2
+    bands = scan.survey(sys, psi, count, q_max, depth=depth, seed=seed)
+    depth = sys.default_depth() if depth is None else depth
+    points = ifs.sample_fractal(sys, count, depth=depth, seed=seed)
+    trunc = sys.kappa**depth * ifs.diameter_estimate(sys)
+    expect = _naive_band_counts(points, psi, q_max, trunc)
+    assert [(b.n_certain, b.n_uncertain) for b in bands] == expect
+    if depth == 3:
+        assert sum(b.n_uncertain for b in bands) > 0
+
+
+def test_survey_splits_wide_bands_into_blocks():
+    # 2^15 points in d=2 cut each band into blocks of 64 q; psi(q) = 1/(4q)
+    # is one correctly rounded division, the same float in any block
+    sys = ifs.cantor_product(2)
+    count, q_max, depth = 1 << 15, 200, 12
+    bands = scan.survey(sys, lambda qs: 0.25 / qs, count, q_max, depth=depth, seed=4)
+    points = ifs.sample_fractal(sys, count, depth=depth, seed=4)
+    trunc = sys.kappa**depth * ifs.diameter_estimate(sys)
+    for band in bands[-2:]:
+        certain = np.zeros(count, dtype=bool)
+        uncertain = np.zeros(count, dtype=bool)
+        for q in range(band.q_lo, band.q_hi + 1):
+            qx = q * points
+            margin = 0.25 / q - np.max(np.abs(qx - np.rint(qx)), axis=1)
+            certain |= margin > q * trunc
+            uncertain |= np.abs(margin) <= q * trunc
+        assert band.n_certain == int(certain.sum()) > 0
+        assert band.n_uncertain == int((uncertain & ~certain).sum()) > 0
