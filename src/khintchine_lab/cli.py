@@ -352,10 +352,8 @@ def _cmd_dani(cfg: ExperimentConfig, out_dir: str):
     closed_residual = math.nan
     if psi.b == 0.0:
         shift = -math.log(psi.c) / (1.0 + psi.a)
-        ts = [t for t in np.linspace(rate.t_start, rate.t_start + 40.0, 41)]
-        closed_residual = max(
-            abs(r_from_psi(psi, d, t) - (rate.slope * t + shift)) for t in ts
-        )
+        ts = np.linspace(rate.t_start, rate.t_start + 40.0, 41)
+        closed_residual = float(np.max(np.abs(r_from_psi(psi, d, ts) - (rate.slope * ts + shift))))
     monotone_ok = rate.check_monotonicity()
     eq = equivalence_check(psi, d, p["alpha"], grid=tuple(grid))
     doc = {

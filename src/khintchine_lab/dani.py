@@ -42,6 +42,8 @@ class ApproxFunction:
     b: float = 0.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.domain_start, self.c, self.a, self.b)):
+            raise ValueError("power_log needs finite c, a, b and domain_start")
         if self.domain_start <= 0.0:
             raise ValueError("domain_start must be positive")
         if self.c <= 0.0 or self.a < 0.0 or self.b < 0.0:
@@ -94,7 +96,7 @@ def _r_scalar(psi: ApproxFunction, d: int, t: float) -> float:
         w *= 2.0
         n += 1
         if n > _MAX_DOUBLINGS:
-            raise InvalidPsiError("no lower bracket for r")
+            raise InvalidPsiError(f"no lower bracket for r at t={t:.6g}")
     w = 2.0
     n = 0
     while g(hi) < 0.0:
@@ -102,32 +104,91 @@ def _r_scalar(psi: ApproxFunction, d: int, t: float) -> float:
         w *= 2.0
         n += 1
         if n > _MAX_DOUBLINGS:
-            raise InvalidPsiError("no upper bracket for r")
+            raise InvalidPsiError(f"no upper bracket for r at t={t:.6g}")
     while hi - lo > R_INTERVAL_TOL:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # adjacent floats wider than the tolerance (|r| >= 512)
         if g(mid) < 0.0:
             lo = mid
         else:
             hi = mid
     r = 0.5 * (lo + hi)
     residual = math.exp(float(psi.log_eval(t - r))) - math.exp(-t / d - r)
-    if abs(residual) > RESIDUAL_TOL:
+    if not abs(residual) <= RESIDUAL_TOL:
         raise InvalidPsiError(f"balance residual {residual:.3g} at t={t:.6g}")
+    return r
+
+
+def _r_lockstep(psi: ApproxFunction, d: int, t: np.ndarray) -> np.ndarray:
+    """``_r_scalar`` on every entry of the 1-d array t in one array loop.
+
+    Each lane runs the scalar route's float sequence: the same brackets,
+    midpoints and comparisons, and g on an array is the same elementwise
+    arithmetic.  A lane that is done drops out; the others go on.  On
+    failure the error is the one the scalar route raises at the first
+    failing t in input order.
+    """
+    t_over_d = t / d
+
+    def g(lanes, r):
+        return psi.log_eval(t[lanes] - r) + t_over_d[lanes] + r
+
+    errors = {}
+    lo = np.full(t.size, -1.0)
+    hi = np.full(t.size, 1.0)
+    lanes = np.arange(t.size)
+    # lo steps down while g(lo) > 0, hi steps up while g(hi) < 0
+    for edge, side, step in ((lo, "lower", -1.0), (hi, "upper", 1.0)):
+        active = lanes
+        w = 2.0  # every active lane has doubled the same number of times
+        n = 0
+        while active.size:
+            active = active[step * g(active, edge[active]) < 0.0]
+            edge[active] += step * w
+            w *= 2.0
+            n += 1
+            if n > _MAX_DOUBLINGS:
+                for i in active.tolist():
+                    errors[i] = f"no {side} bracket for r at t={t[i]:.6g}"
+                lanes = np.setdiff1d(lanes, active)
+                break
+    active = lanes[hi[lanes] - lo[lanes] > R_INTERVAL_TOL]
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        inside = (lo[active] < mid) & (mid < hi[active])
+        active, mid = active[inside], mid[inside]
+        below = g(active, mid) < 0.0
+        lo[active[below]] = mid[below]
+        hi[active[~below]] = mid[~below]
+        active = active[hi[active] - lo[active] > R_INTERVAL_TOL]
+    r = 0.5 * (lo + hi)
+    log_psi = psi.log_eval(t[lanes] - r[lanes])
+    for i, ti, ri, lp in zip(lanes.tolist(), t[lanes].tolist(), r[lanes].tolist(), log_psi.tolist()):
+        residual = math.exp(lp) - math.exp(-ti / d - ri)
+        if not abs(residual) <= RESIDUAL_TOL:
+            errors[i] = f"balance residual {residual:.3g} at t={ti:.6g}"
+    if errors:
+        raise InvalidPsiError(errors[min(errors)])
     return r
 
 
 def r_from_psi(psi: ApproxFunction, d: int, t):
     """The unique r with psi(e^{t-r}) = e^{-t/d-r}, by bisection.
 
-    For b = 0 this equals (a - 1/d) t/(1+a) - log(c)/(1+a).
+    A scalar t takes the scalar bisection, an array t the lockstep one; both
+    give the same float for the same t.  For b = 0 this equals
+    (a - 1/d) t/(1+a) - log(c)/(1+a).
     """
     t_arr = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t_arr)):
+        raise ValueError("t must be finite")
     t_min = t0_of(psi, d) - 1e-9
     if np.any(t_arr < t_min):
         raise ValueError(f"t below domain start {t_min + 1e-9:.6g}")
     if t_arr.ndim == 0:
         return _r_scalar(psi, d, float(t_arr))
-    return np.array([_r_scalar(psi, d, ti) for ti in t_arr.ravel()]).reshape(t_arr.shape)
+    return _r_lockstep(psi, d, t_arr.ravel()).reshape(t_arr.shape)
 
 
 @dataclass(frozen=True)
@@ -269,17 +330,18 @@ def equivalence_check(
     rate = RateFunction.from_psi(psi, d)
     gamma = alpha * (d + 1) / d
     t0 = rate.t_start
-    r0 = float(rate(t0))
+    for big_t in grid:
+        if big_t <= t0:
+            raise ValueError(f"truncation {big_t} not above t0 = {t0:.6g}")
+    r0, *r_grid = rate(np.array([t0, *grid])).tolist()
     u0 = t0 - r0
     i_psi = np.empty(len(grid))
     i_r = np.empty(len(grid))
-    for i, big_t in enumerate(grid):
-        if big_t <= t0:
-            raise ValueError(f"truncation {big_t} not above t0 = {t0:.6g}")
+    for i, (big_t, r_big) in enumerate(zip(grid, r_grid)):
         i_r[i], _ = scipy.integrate.quad(
             lambda t: math.exp(-gamma * float(rate(t))), t0, big_t, limit=200
         )
-        u_hi = big_t - float(rate(big_t))
+        u_hi = big_t - r_big
         i_psi[i], _ = scipy.integrate.quad(
             lambda u: math.exp(u * alpha / d + alpha * float(psi.log_eval(u))),
             u0,

@@ -166,28 +166,20 @@ def dani_cross_check(
     rate = RateFunction.from_psi(psi, d)
     t0 = rate.t_start
     hits = scan_hits(x, psi, q_max, x_exact=x_exact)
+    checked = [hit for hit in hits if math.isfinite(hit.witness_time) and hit.witness_time >= t0]
+    degenerate = sum(not math.isfinite(hit.witness_time) for hit in hits)
+    below_domain = len(hits) - degenerate - len(checked)
     direct_violations = []
-    degenerate = 0
-    below_domain = 0
-    checked = 0
-    for hit in hits:
-        if not math.isfinite(hit.witness_time):
-            degenerate += 1
-            continue
-        if hit.witness_time < t0:
-            below_domain += 1
-            continue
+    r_checked = rate(np.array([hit.witness_time for hit in checked]))
+    for hit, r_val in zip(checked, r_checked.tolist()):
         l_val = height(diagonal_point(x, hit.witness_time))
-        r_val = float(rate(hit.witness_time))
-        checked += 1
         if l_val < r_val - tol:
             direct_violations.append((hit.q, hit.witness_time, l_val, r_val))
     ts = np.arange(t0 + 1e-6, d / (d + 1) * math.log(q_max) + 5.0, 0.05)
     converse_violations = []
     crossings = 0
     times_checked = 0
-    for t in ts:
-        r_val = float(rate(t))
+    for t, r_val in zip(ts, rate(ts).tolist()):
         if t - r_val > math.log(q_max) - 1e-9:
             continue  # witness q could exceed the scan range
         times_checked += 1
@@ -205,7 +197,7 @@ def dani_cross_check(
             converse_violations.append((float(t), q, err, psi_q))
     return CrossCheckReport(
         hits=hits,
-        hits_checked=checked,
+        hits_checked=len(checked),
         degenerate_skipped=degenerate,
         below_domain_skipped=below_domain,
         direct_violations=direct_violations,

@@ -186,6 +186,14 @@ def test_main_non_finite_level_exits_1(tmp_path, capsys, level):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--psi-x0", "--psi-a", "--psi-c"])
+def test_main_dani_non_finite_psi_exits_1(tmp_path, capsys, flag):
+    # a nan psi parameter makes every balance residual nan: the run must fail
+    argv = ["dani", flag, "nan", "--alpha", "0.5", "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert "finite" in capsys.readouterr().err
+
+
 def test_main_excursions_without_records_exits_1(tmp_path, capsys):
     # heights are never negative, so no window visit and no record to judge
     argv = ["excursions", "--system", "cantor:1", "--level", "-1", "--points", "2",

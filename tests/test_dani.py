@@ -33,6 +33,14 @@ def test_psi_validation():
         ApproxFunction.power_log(1.0, 1.0, x0=0.0)
 
 
+@pytest.mark.parametrize("field", ["c", "a", "b", "x0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_psi_rejects_non_finite_parameters(field, value):
+    params = {"c": 1.0, "a": 1.0, "b": 1.0, "x0": 2.0, field: value}
+    with pytest.raises(ValueError, match="finite"):
+        ApproxFunction.power_log(**params)
+
+
 def test_t0_matches_defining_time():
     # t0 is where the balance holds at the domain edge x0, so the closed form
     # must match it and the edge value of r must satisfy t0 - r(t0) = log x0
@@ -78,13 +86,81 @@ def test_r_rejects_t_below_domain():
         dani.r_from_psi(psi, 1, dani.t0_of(psi, 1) - 0.1)
 
 
+def test_r_rejects_non_finite_t():
+    psi = ApproxFunction.power_log(1.0, 1.5)
+    for t in (math.nan, math.inf, np.array([1.0, math.nan, 2.0])):
+        with pytest.raises(ValueError, match="finite"):
+            dani.r_from_psi(psi, 1, t)
+
+
 def test_r_vectorized_matches_scalar():
     psi = ApproxFunction.power_log(1.3, 0.9)
     ts = np.array([1.0, 2.0, 5.0, 17.0])
     rs = dani.r_from_psi(psi, 1, ts)
     assert rs.shape == ts.shape
     for t, r in zip(ts, rs):
-        assert r == pytest.approx(dani.r_from_psi(psi, 1, float(t)), abs=1e-12)
+        assert r == dani.r_from_psi(psi, 1, float(t))
+    assert dani.r_from_psi(psi, 1, np.empty((0, 3))).shape == (0, 3)
+
+
+# (c, a, b, x0, d): b = 0 and b > 0, x0 = 1 and 5, d = 1..3
+LOCKSTEP_FAMILIES = [
+    (1.0, 1.5, 0.0, 1.0, 1),
+    (2.0, 0.7, 0.0, 5.0, 3),
+    (0.8, 1.2, 1.5, 5.0, 2),
+    (1.0, 1.0, 1.0, 5.0, 2),
+    (1.3, 0.2, 2.0, 5.0, 3),
+]
+
+
+@pytest.mark.parametrize("c, a, b, x0, d", LOCKSTEP_FAMILIES)
+def test_lockstep_r_is_the_scalar_r_bit_for_bit(c, a, b, x0, d):
+    psi = ApproxFunction.power_log(c, a, b, x0)
+    t0 = dani.t0_of(psi, d)
+    ts = np.concatenate([[t0, t0 + 1e-6], np.linspace(t0, t0 + 40.0, 301)])
+    lockstep = dani.r_from_psi(psi, d, ts)
+    scalar = np.array([dani._r_scalar(psi, d, t) for t in ts.tolist()])
+    assert np.array_equal(lockstep.view(np.int64), scalar.view(np.int64))
+
+
+def test_lockstep_lanes_are_independent():
+    psi = ApproxFunction.power_log(0.8, 1.2, b=1.5, x0=5.0)
+    d = 2
+    t0 = dani.t0_of(psi, d)
+    ts = np.linspace(t0, t0 + 30.0, 97)
+    rs = dani.r_from_psi(psi, d, ts)
+    assert np.array_equal(dani.r_from_psi(psi, d, ts[::-1]), rs[::-1])
+    assert np.array_equal(dani.r_from_psi(psi, d, ts[5:60:7]), rs[5:60:7])
+    assert np.array_equal(dani.r_from_psi(psi, d, ts.reshape(1, 97)), rs.reshape(1, 97))
+
+
+def test_bracket_failure_names_first_failing_t(monkeypatch):
+    # r = t/2 here, so with two doublings the upper bracket stops at 1 + 2 + 4
+    monkeypatch.setattr(dani, "_MAX_DOUBLINGS", 2)
+    psi = ApproxFunction.power_log(1.0, 3.0)
+    with pytest.raises(InvalidPsiError, match="upper bracket for r at t=200"):
+        dani.r_from_psi(psi, 1, np.array([2.0, 200.0, 100.0, 4.0]))
+    with pytest.raises(InvalidPsiError, match="upper bracket for r at t=100"):
+        dani.r_from_psi(psi, 1, 100.0)
+    assert dani.r_from_psi(psi, 1, np.array([2.0, 4.0])) == pytest.approx([1.0, 2.0])
+
+
+def test_nan_residual_fails_both_routes():
+    psi = ApproxFunction.power_log(1.0, 1.5)
+    object.__setattr__(psi, "c", math.nan)  # past the constructor's check
+    with pytest.raises(InvalidPsiError, match="residual nan"):
+        dani._r_scalar(psi, 1, 2.0)
+    with pytest.raises(InvalidPsiError, match="residual nan"):
+        dani._r_lockstep(psi, 1, np.array([2.0, 3.0]))
+
+
+def test_r_beyond_float_resolution_of_the_tolerance():
+    # for |r| >= 512 adjacent floats are wider than R_INTERVAL_TOL; the
+    # bisection stops there instead of looping forever
+    psi = ApproxFunction.power_log(1.0, 3.0)
+    assert dani.r_from_psi(psi, 1, 2000.0) == pytest.approx(1000.0, rel=1e-15)
+    rs = dani.r_from_psi(psi, 1, np.array([2000.0, 3000.0, 5.0]))
+    assert rs == pytest.approx([1000.0, 1500.0, 2.5], rel=1e-15)
 
 
 def test_round_trip_psi_r_psi():
