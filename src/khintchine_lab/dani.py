@@ -19,12 +19,30 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.integrate
 
 R_INTERVAL_TOL = 1e-13
 RESIDUAL_TOL = 1e-12
 BORDERLINE_TOL = 1e-12
 _MAX_DOUBLINGS = 200
+
+# The 20-point Gauss-Legendre rule on [-1, 1]: the positive roots of P_20 and
+# their weights, each rounded to nearest from a 60-digit mpmath Newton
+# iteration on the three-term recurrence.  As a literal table the rule does
+# not depend on libm or LAPACK (tests/test_dani.py recomputes it).
+_GL_HALF = (
+    (0.07652652113349734, 0.15275338713072584),
+    (0.22778585114164507, 0.14917298647260374),
+    (0.37370608871541955, 0.14209610931838204),
+    (0.5108670019508271, 0.13168863844917664),
+    (0.636053680726515, 0.11819453196151841),
+    (0.7463319064601508, 0.10193011981724044),
+    (0.8391169718222188, 0.08327674157670475),
+    (0.912234428251326, 0.06267204833410907),
+    (0.9639719272779138, 0.04060142980038694),
+    (0.9931285991850949, 0.017614007139152118),
+)
+_GL_NODES = np.array([-x for x, _ in reversed(_GL_HALF)] + [x for x, _ in _GL_HALF])
+_GL_WEIGHTS = np.array([w for _, w in reversed(_GL_HALF)] + [w for _, w in _GL_HALF])
 
 
 class InvalidPsiError(ValueError):
@@ -313,6 +331,23 @@ class EquivalenceReport:
     q0_agree: bool
 
 
+def _exp_partials(g: Callable, lo: float, his: Sequence[float]) -> np.ndarray:
+    """The integral of e^g over [lo, h] for each h in ``his`` (all above lo).
+
+    A composite Gauss-Legendre rule: unit-width panels from lo, each cut
+    where an h falls, 20 nodes per panel.  The truncations share their
+    panels, g sees every node in one array call, e^g is taken with
+    ``math.exp``, and each partial is the correctly rounded sum
+    (``math.fsum``) of the weighted values below its h.
+    """
+    edges = np.union1d(lo + np.arange(math.ceil(max(his) - lo)), his)
+    half = 0.5 * np.diff(edges)
+    nodes = (edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES
+    values = np.array([math.exp(v) for v in g(nodes.ravel()).tolist()])
+    terms = (half[:, None] * _GL_WEIGHTS) * values.reshape(nodes.shape)
+    return np.array([math.fsum(terms[: np.searchsorted(edges, h)].ravel().tolist()) for h in his])
+
+
 def equivalence_check(
     psi: ApproxFunction, d: int, alpha: float, grid: Sequence[float] = (10.0, 20.0, 40.0, 60.0)
 ) -> EquivalenceReport:
@@ -323,7 +358,9 @@ def equivalence_check(
     (1 - r'(t)) e^(-gamma r(t)), so for affine r the ratio of the partials is
     the constant 1 - slope.  The q = 0 variant compares the integral of
     psi(x)^d dx (the d-th power makes the same substitution exact) against
-    the integral of e^(-(d+1) r) dt.
+    the integral of e^(-(d+1) r) dt.  Both partials go through
+    ``_exp_partials``; r at every node of every truncation is one lockstep
+    ``rate`` call.
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
@@ -334,20 +371,13 @@ def equivalence_check(
         if big_t <= t0:
             raise ValueError(f"truncation {big_t} not above t0 = {t0:.6g}")
     r0, *r_grid = rate(np.array([t0, *grid])).tolist()
-    u0 = t0 - r0
-    i_psi = np.empty(len(grid))
-    i_r = np.empty(len(grid))
-    for i, (big_t, r_big) in enumerate(zip(grid, r_grid)):
-        i_r[i], _ = scipy.integrate.quad(
-            lambda t: math.exp(-gamma * float(rate(t))), t0, big_t, limit=200
-        )
-        u_hi = big_t - r_big
-        i_psi[i], _ = scipy.integrate.quad(
-            lambda u: math.exp(u * alpha / d + alpha * float(psi.log_eval(u))),
-            u0,
-            u_hi,
-            limit=200,
-        )
+    # x = e^u: x^(alpha/d - 1) psi(x)^alpha dx = e^(u alpha/d + alpha log psi(e^u)) du
+    i_psi = _exp_partials(
+        lambda u: u * alpha / d + alpha * psi.log_eval(u),
+        t0 - r0,
+        [big_t - r_big for big_t, r_big in zip(grid, r_grid)],
+    )
+    i_r = _exp_partials(lambda t: -gamma * rate(t), t0, grid)
     ratios = i_psi / i_r
     psi_v = classify_khintchine_series(psi, d, alpha)
     rate_v = classify_rate_series(rate, gamma)

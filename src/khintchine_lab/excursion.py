@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import mpmath
 import numpy as np
-import scipy.special
-import scipy.stats
 
 from .flows import diag_time, similarity_to_group
 from .ifs import IfsSystem
@@ -301,6 +300,56 @@ def rate_budget(
     )
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log sum e^a over a nonempty 1-d array of finite floats.
+
+    The route of scipy.special.logsumexp (1.17), float for float: the
+    maximum a_max and its m ties leave the sum, s sums e^(a - a_max) over the
+    rest, and the result is log1p(s/m) + log(m) + a_max.
+    """
+    a_max = a.max()
+    top = a == a_max
+    m = np.sum(top, dtype=float)
+    s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max))
+    return float(np.log1p(s / m) + np.log(m) + a_max)
+
+
+def _slope_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope of y on x and its standard error, for at least 3
+    points with distinct x.
+
+    The formulas of scipy.stats.linregress, with the centred second moments
+    taken as elementwise sums rather than through np.cov, whose ``dot`` is a
+    BLAS product.
+    """
+    dx = x - np.mean(x)
+    dy = y - np.mean(y)
+    sxx = float(np.sum(dx * dx))
+    sxy = float(np.sum(dx * dy))
+    syy = float(np.sum(dy * dy))
+    # a flat y has no correlation with x, and so no standard error
+    r = min(1.0, max(-1.0, sxy / math.sqrt(sxx * syy))) if syy > 0.0 else math.nan
+    return sxy / sxx, math.sqrt((1.0 - r * r) * syy / sxx / (x.size - 2))
+
+
+def _t_quantile(p: float, df: int) -> float:
+    """The p-quantile of Student's t with df degrees of freedom, 1/2 < p < 1.
+
+    The t solving I_{t^2/(df+t^2)}(1/2, df/2) = 2p - 1, the regularized
+    incomplete beta function, by mpmath's secant ``findroot`` at 30 digits
+    from the normal quantile, rounded once to a float.
+    """
+    with mpmath.workdps(30):
+        target = 2 * mpmath.mpf(p) - 1
+        half_df = mpmath.mpf(df) / 2
+        z = mpmath.sqrt(2) * mpmath.erfinv(target)
+
+        def excess(t):
+            return mpmath.betainc(0.5, half_df, 0, t * t / (df + t * t), regularized=True) - target
+
+        return float(mpmath.findroot(excess, (z, z * 1.01)))
+
+
 def tail_report(
     sys: IfsSystem,
     window: CompactWindow,
@@ -361,7 +410,7 @@ def tail_report(
                 n_censored += 1
             sigmas.append(gaps)
             group_log_means.append(
-                float(scipy.special.logsumexp(rate * gaps) - math.log(gaps.size))
+                _logsumexp(rate * gaps) - math.log(gaps.size)
             )
     if not sigmas:
         raise NoWindowDataError("no walk produced two window visits")
@@ -377,10 +426,10 @@ def tail_report(
     pos = tail > 0
     n_pos = int(pos.sum())
     if n_pos >= 3:
-        fit = scipy.stats.linregress(thresholds[pos], np.log(tail[pos]))
-        fitted = -float(fit.slope)
-        tcrit = float(scipy.stats.t.ppf(0.975, n_pos - 2))
-        ci = (fitted - tcrit * float(fit.stderr), fitted + tcrit * float(fit.stderr))
+        slope, stderr = _slope_fit(thresholds[pos], np.log(tail[pos]))
+        fitted = -slope
+        tcrit = _t_quantile(0.975, n_pos - 2)
+        ci = (fitted - tcrit * stderr, fitted + tcrit * stderr)
     else:
         fitted = math.nan
         ci = (math.nan, math.nan)

@@ -1,6 +1,9 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -276,3 +279,38 @@ def test_run_constants_small(tmp_path):
     for r in rows:
         assert float(r[3]) <= float(r[4])  # axis sandwich present for cantor
     assert m.verdicts["varpi_exact"] == pytest.approx(cli.cantor_varpi(2))
+
+
+NO_SCIPY = """
+import json, math, sys
+
+import khintchine_lab.cli as cli
+
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, f"importing the command line loaded {loaded}"
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+assert cli.main(["simulate", "--system", "cantor:1", "--walks", "4", "--steps", "300",
+                 "--level", "2.0", "--out", "simulate"]) == 0
+with open("simulate/manifest.json") as fh:
+    assert math.isfinite(json.load(fh)["verdicts"]["fitted_rate_ci"][0])
+assert cli.main(["dani", "--d", "2", "--psi-b", "1.0", "--out", "dani"]) == 0
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    # importing the command line must not load scipy, and simulate (tail
+    # statistics) and dani (partial integrals) must run with scipy blocked
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

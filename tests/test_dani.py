@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -249,6 +250,88 @@ def test_equivalence_ratio_for_affine_rate():
     assert rep.truncations == (10.0, 20.0, 40.0, 60.0)
     with pytest.raises(ValueError, match="truncation"):
         dani.equivalence_check(psi, 1, 1.0, grid=(0.0,))
+
+
+# (c, a, b, x0, d): b = 0 and b > 0, d = 1..3, x0 = 1 and 5
+PARTIAL_FAMILIES = [
+    (1.0, 0.5, 0.0, 1.0, 1),
+    (1.0, 1.0, 1.0, 1.0, 2),
+    (2.0, 0.3, 0.0, 5.0, 3),
+    (0.5, 0.7, 2.0, 5.0, 1),
+    (1.0, 1.5, 0.0, 5.0, 2),
+    (1.0, 1.0 / 3.0, 1.0, 5.0, 3),
+]
+
+
+def test_gauss_legendre_table():
+    nodes, weights = dani._GL_NODES, dani._GL_WEIGHTS
+    n = nodes.size
+    assert n == 20
+    assert np.all(np.diff(nodes) > 0.0) and np.array_equal(nodes, -nodes[::-1])
+    assert np.array_equal(weights, weights[::-1])
+    assert abs(math.fsum(weights.tolist()) - 2.0) <= 4e-16
+    # each node is the rounded root of P_n and each weight 2/((1 - x^2) P_n'(x)^2)
+    # there, recomputed by mpmath's own root finder and Legendre function
+    with mpmath.workdps(50):
+        for x, w in zip(nodes.tolist(), weights.tolist()):
+            root = mpmath.findroot(lambda z: mpmath.legendre(n, z), mpmath.mpf(x))
+            slope = n * (root * mpmath.legendre(n, root) - mpmath.legendre(n - 1, root)) / (root**2 - 1)
+            assert float(root) == x
+            assert float(2 / ((1 - root**2) * slope**2)) == w
+    # exact for every degree up to 2n - 1: on [0, 1] the integral of x^k is 1/(k+1)
+    half_weights = (0.5 * weights).tolist()
+    points = (0.5 * nodes + 0.5).tolist()
+    for k in range(2 * n):
+        got = math.fsum(w * x**k for w, x in zip(half_weights, points))
+        assert got == pytest.approx(1.0 / (k + 1), rel=4e-15, abs=0.0)
+    # and not for x^(2n): on [-1, 1] it misses by the n-point error term
+    miss = 2.0 / (2 * n + 1) - math.fsum(w * x ** (2 * n) for w, x in zip(weights, nodes))
+    error_term = 2 ** (2 * n + 1) * math.factorial(n) ** 4 / ((2 * n + 1) * math.factorial(2 * n) ** 2)
+    assert miss == pytest.approx(error_term, rel=1e-3)
+
+
+@pytest.mark.parametrize("c,a,b,x0,d", PARTIAL_FAMILIES)
+def test_partial_integrals_match_tanh_sinh(c, a, b, x0, d):
+    # the same two integrands, integrated by mpmath's tanh-sinh quadrature
+    psi = ApproxFunction.power_log(c, a, b, x0)
+    alpha = 0.7
+    rep = dani.equivalence_check(psi, d, alpha)
+    rate = RateFunction.from_psi(psi, d)
+    t_edges = [rate.t_start, *rep.truncations]
+    u_edges = [t - rate(t) for t in t_edges]
+    gamma = rep.gamma
+    i_r = np.cumsum([
+        float(mpmath.quad(lambda t: mpmath.exp(-gamma * rate(float(t))), [lo, hi]))
+        for lo, hi in zip(t_edges, t_edges[1:])
+    ])
+    i_psi = np.cumsum([
+        float(mpmath.quad(lambda u: mpmath.exp(u * alpha / d + alpha * psi.log_eval(float(u))), [lo, hi]))
+        for lo, hi in zip(u_edges, u_edges[1:])
+    ])
+    np.testing.assert_allclose(rep.i_r, i_r, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(rep.i_psi, i_psi, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("c,a,x0", [(1.0, 1.5, 1.0), (0.5, 0.3, 5.0), (3.0, 1.0, 2.0)])
+def test_partials_ratio_is_one_minus_slope_for_affine_rate(c, a, x0, d):
+    # b = 0: r is affine, so the substitution x = e^(t - r) is exact and the
+    # partials stand in the ratio 1 - slope at every truncation, odd ones too
+    psi = ApproxFunction.power_log(c, a, 0.0, x0)
+    slope = (a - 1.0 / d) / (1.0 + a)
+    for alpha in (0.4, 1.0, 2.5):
+        rep = dani.equivalence_check(psi, d, alpha, grid=(7.3, 10.0, 25.5, 60.0))
+        np.testing.assert_allclose(rep.ratios, 1.0 - slope, rtol=1e-12, atol=0.0)
+
+
+def test_partials_share_panels_across_truncations():
+    # each truncation alone gives the same partial as inside a longer grid
+    psi = ApproxFunction.power_log(1.0, 1.0, 1.0)
+    whole = dani.equivalence_check(psi, 2, 0.5, grid=(60.0, 10.0, 33.3))
+    for i, big_t in enumerate(whole.truncations):
+        alone = dani.equivalence_check(psi, 2, 0.5, grid=(big_t,))
+        assert alone.i_r[0] == whole.i_r[i]
+        assert alone.i_psi[0] == whole.i_psi[i]
 
 
 def test_invalid_psi_error_is_value_error():

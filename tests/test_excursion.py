@@ -1,6 +1,8 @@
 import dataclasses
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -368,6 +370,67 @@ def test_tail_report_needs_window_visits():
     # level so deep that no walk ever reaches the window
     with pytest.raises(excursion.NoWindowDataError):
         excursion.tail_report(sys, lattices.CompactWindow(-50.0), walks=3, steps=50, seed=0)
+
+
+@pytest.mark.parametrize("p", [0.6, 0.9, 0.975, 0.995])
+def test_t_quantile_closed_forms(p):
+    with mpmath.workdps(40):
+        q = mpmath.mpf(p)
+        df1 = mpmath.tan(mpmath.pi * (q - 0.5))
+        df2 = (2 * q - 1) / mpmath.sqrt(2 * q * (1 - q))
+        root = mpmath.sqrt(4 * q * (1 - q))
+        df4 = 2 * mpmath.sqrt(mpmath.cos(mpmath.acos(root) / 3) / root - 1)
+    for df, want in ((1, df1), (2, df2), (4, df4)):
+        want = float(want)
+        assert abs(excursion._t_quantile(p, df) - want) <= math.ulp(want), (p, df)
+
+
+@pytest.mark.parametrize("p", [0.9, 0.975])
+def test_t_quantile_approaches_the_normal_quantile(p):
+    # t_df = z (1 + (z^2 + 1)/(4 df) + O(df^-2)) (Cornish-Fisher)
+    z = float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1))
+    for df in (10**3, 10**5, 10**7):
+        excess = excursion._t_quantile(p, df) / z - 1.0
+        assert excess == pytest.approx((z * z + 1.0) / (4 * df), rel=1e-2)
+
+
+def _logsumexp_reference(a):
+    with mpmath.workdps(50):
+        return float(mpmath.log(mpmath.fsum(mpmath.exp(mpmath.mpf(v)) for v in a.tolist())))
+
+
+def test_logsumexp_matches_mpmath():
+    rng = np.random.default_rng(11)
+    arrays = [np.array([7.25]), np.array([-3.0]), np.array([2.0, 2.0]), np.full(5, 1.5),
+              np.array([2.0, 0.5, 2.0, -1.0]), np.array([0.0, 0.0, 1e-300])]
+    # tail_report's arrays: a rate times integer gaps, which often ties the maximum
+    arrays += [rng.uniform(0.01, 2.0) * rng.integers(1, 30, size=rng.integers(1, 60))
+               for _ in range(200)]
+    arrays += [rng.normal(0.0, 50.0, size=rng.integers(1, 60)) for _ in range(100)]
+    for a in arrays:
+        want = _logsumexp_reference(a)
+        assert abs(excursion._logsumexp(a) - want) <= 4 * math.ulp(max(abs(want), 1.0)), a
+    # one term, or only ties: nothing is left in the sum, log1p(0) = 0
+    assert excursion._logsumexp(np.array([7.25])) == 7.25
+    assert excursion._logsumexp(np.full(5, 1.5)) == float(np.log(5.0)) + 1.5
+
+
+def test_slope_fit_matches_exact_least_squares():
+    rng = np.random.default_rng(12)
+    for n in (3, 4, 17, 200):
+        x = np.arange(1, n + 1)  # tail_report fits against integer thresholds
+        y = -rng.uniform(0.1, 1.0) * x + rng.normal(0.0, 0.3, size=n)
+        xs, ys = [Fraction(v) for v in x.tolist()], [Fraction(v) for v in y.tolist()]
+        x_bar, y_bar = sum(xs) / n, sum(ys) / n
+        sxx = sum((u - x_bar) ** 2 for u in xs)
+        slope = sum((u - x_bar) * (v - y_bar) for u, v in zip(xs, ys)) / sxx
+        rss = sum((v - y_bar - slope * (u - x_bar)) ** 2 for u, v in zip(xs, ys))
+        got_slope, got_stderr = excursion._slope_fit(x, y)
+        assert got_slope == pytest.approx(float(slope), rel=1e-13)
+        assert got_stderr == pytest.approx(math.sqrt(rss / sxx / (n - 2)), rel=1e-12)
+    # a flat line: no slope and no spread, so no correlation either
+    slope, stderr = excursion._slope_fit(np.arange(1.0, 5.0), np.zeros(4))
+    assert slope == 0.0 and math.isnan(stderr)
 
 
 def test_walk_and_matrix_agree_through_window_logic():
