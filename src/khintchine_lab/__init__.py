@@ -7,164 +7,3 @@ and compare against the series criteria on the function side.
 """
 
 __version__ = "0.1.0"
-
-from .constants import (
-    AlphaPoint,
-    CoverCertificate,
-    ResourceLimitError,
-    SubspaceQuery,
-    alpha_estimate,
-    axis_subspace_measure,
-    bound_constant,
-    cantor_axis_alpha,
-    cantor_varpi,
-    cover_hyperplane,
-    measure_upper_bound,
-    varpi_of,
-)
-from .dani import (
-    ApproxFunction,
-    EquivalenceReport,
-    InvalidPsiError,
-    RateFunction,
-    SeriesVerdict,
-    classify_khintchine_series,
-    classify_rate_series,
-    equivalence_check,
-    psi_from_r,
-    r_from_psi,
-    t0_of,
-)
-from .excursion import (
-    ExcursionRecord,
-    InfeasibleBudgetError,
-    NoWindowDataError,
-    RateBudget,
-    TailReport,
-    diagonal_excursions,
-    diagonal_heights,
-    excursions,
-    growth_bound_check,
-    rate_budget,
-    return_times,
-    tail_report,
-    walk_heights,
-)
-from .flows import (
-    GroupElement,
-    assemble_P,
-    decompose_P,
-    diag_time,
-    diagonal_point,
-    rho_apply,
-    shadowing_identity_residual,
-    similarity_to_group,
-    walk_matrix,
-    walk_products,
-    walk_steps,
-)
-from .ifs import (
-    IfsSystem,
-    SimilarityMap,
-    cantor_product,
-    coding_point,
-    compose,
-    load_system,
-    sample_fractal,
-    sample_words,
-    save_system,
-)
-from .lattices import (
-    CompactWindow,
-    ReductionGuardError,
-    brute_force_shortest,
-    certified_box,
-    height,
-    in_window,
-    shortest_of_basis,
-    shortest_vector,
-)
-from .scan import (
-    BandStat,
-    CrossCheckReport,
-    HitRecord,
-    dani_cross_check,
-    parse_point,
-    scan_hits,
-    survey,
-)
-
-__all__ = [
-    "__version__",
-    "AlphaPoint",
-    "ApproxFunction",
-    "BandStat",
-    "CompactWindow",
-    "CoverCertificate",
-    "CrossCheckReport",
-    "EquivalenceReport",
-    "ExcursionRecord",
-    "GroupElement",
-    "HitRecord",
-    "IfsSystem",
-    "InfeasibleBudgetError",
-    "InvalidPsiError",
-    "NoWindowDataError",
-    "RateBudget",
-    "RateFunction",
-    "ReductionGuardError",
-    "ResourceLimitError",
-    "SeriesVerdict",
-    "SimilarityMap",
-    "SubspaceQuery",
-    "TailReport",
-    "alpha_estimate",
-    "assemble_P",
-    "axis_subspace_measure",
-    "bound_constant",
-    "brute_force_shortest",
-    "cantor_axis_alpha",
-    "cantor_product",
-    "cantor_varpi",
-    "certified_box",
-    "classify_khintchine_series",
-    "classify_rate_series",
-    "coding_point",
-    "compose",
-    "cover_hyperplane",
-    "dani_cross_check",
-    "decompose_P",
-    "diag_time",
-    "diagonal_excursions",
-    "diagonal_heights",
-    "diagonal_point",
-    "equivalence_check",
-    "excursions",
-    "growth_bound_check",
-    "height",
-    "in_window",
-    "load_system",
-    "measure_upper_bound",
-    "parse_point",
-    "psi_from_r",
-    "r_from_psi",
-    "rate_budget",
-    "return_times",
-    "rho_apply",
-    "sample_fractal",
-    "sample_words",
-    "save_system",
-    "scan_hits",
-    "shadowing_identity_residual",
-    "shortest_of_basis",
-    "shortest_vector",
-    "similarity_to_group",
-    "survey",
-    "t0_of",
-    "tail_report",
-    "varpi_of",
-    "walk_heights",
-    "walk_matrix",
-    "walk_products",
-    "walk_steps",
-]

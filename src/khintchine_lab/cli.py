@@ -93,7 +93,6 @@ _PARAM_SPECS = {
     },
     "constants": {
         "n_max": (int, 6),
-        "l_values": (list, None),
         "search_budget": (int, 200),
         "samples": (int, 100000),
     },
@@ -348,7 +347,7 @@ def _cmd_dani(cfg: ExperimentConfig, out_dir: str):
     psi = _psi_from_params(p)
     d = p["d"]
     grid = [float(t) for t in p["grid"]]
-    rate = RateFunction.from_psi(psi, d)
+    rate = RateFunction(psi, d)
     closed_residual = math.nan
     if psi.b == 0.0:
         shift = -math.log(psi.c) / (1.0 + psi.a)
@@ -368,11 +367,11 @@ def _cmd_dani(cfg: ExperimentConfig, out_dir: str):
         "i_psi": [float(v) for v in eq.i_psi],
         "i_r": [float(v) for v in eq.i_r],
         "ratios": [float(v) for v in eq.ratios],
-        "psi_verdict": eq.psi_verdict.decision,
-        "rate_verdict": eq.rate_verdict.decision,
+        "psi_verdict": eq.psi_verdict,
+        "rate_verdict": eq.rate_verdict,
         "agree": eq.agree,
-        "q0_psi_verdict": eq.q0_psi_verdict.decision,
-        "q0_rate_verdict": eq.q0_rate_verdict.decision,
+        "q0_psi_verdict": eq.q0_psi_verdict,
+        "q0_rate_verdict": eq.q0_rate_verdict,
         "q0_agree": eq.q0_agree,
     }
     path = os.path.join(out_dir, "dani.json")
@@ -384,8 +383,8 @@ def _cmd_dani(cfg: ExperimentConfig, out_dir: str):
         "q0_agree": eq.q0_agree,
         "monotone_ok": monotone_ok,
         "closed_form_residual": closed_residual,
-        "psi_verdict": eq.psi_verdict.decision,
-        "rate_verdict": eq.rate_verdict.decision,
+        "psi_verdict": eq.psi_verdict,
+        "rate_verdict": eq.rate_verdict,
     }
     return ["dani.json"], verdicts
 
@@ -443,8 +442,8 @@ def _cmd_survey(cfg: ExperimentConfig, out_dir: str):
     verdicts = {
         "bands": len(stats),
         "fractions": [s.fraction for s in stats],
-        "series_at_half_varpi": classify_khintchine_series(psi, d, varpi / 2).decision,
-        "series_at_varpi": classify_khintchine_series(psi, d, varpi).decision,
+        "series_at_half_varpi": classify_khintchine_series(psi, d, varpi / 2),
+        "series_at_varpi": classify_khintchine_series(psi, d, varpi),
     }
     return ["survey.csv"], verdicts
 
@@ -454,11 +453,7 @@ def _cmd_constants(cfg: ExperimentConfig, out_dir: str):
     p = cfg.parameters
     d = system.dimension
     is_cantor = cfg.system.startswith("cantor:")
-    l_values = p["l_values"]
-    if l_values is None:
-        l_values = list(range(1, d + 1))
-    else:
-        l_values = [int(v) for v in l_values]
+    l_values = list(range(1, d + 1))
     n_values = list(range(2, p["n_max"] + 1))
     if not n_values:
         raise ConfigError("n_max must be at least 2")
@@ -488,10 +483,8 @@ def _cmd_constants(cfg: ExperimentConfig, out_dir: str):
         "final_ratios": final_ratios,
         "l_values": l_values,
     }
-    if len(l_values) == d and sorted(l_values) == list(range(1, d + 1)):
-        ordered = [r for _, r in sorted(zip(l_values, final_ratios))]
-        if all(math.isfinite(r) for r in ordered):
-            verdicts["varpi_hat"] = varpi_of(ordered, d)
+    if all(math.isfinite(r) for r in final_ratios):
+        verdicts["varpi_hat"] = varpi_of(final_ratios, d)
     if is_cantor:
         verdicts["varpi_exact"] = cantor_varpi(d)
         if d <= 3:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -65,10 +66,6 @@ class SubspaceQuery:
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
 
-    @property
-    def codimension(self) -> int:
-        return self.normal_rows.shape[0]
-
 
 @dataclass(frozen=True)
 class CoverCertificate:
@@ -83,21 +80,6 @@ class CoverCertificate:
     @property
     def count(self) -> int:
         return self.cells.shape[0]
-
-    def _packed(self) -> np.ndarray:
-        strides = (3**self.n) ** np.arange(self.dimension, dtype=np.int64)
-        packed = np.sort(self.cells @ strides)
-        return packed
-
-    def contains_cells(self, cells: np.ndarray) -> np.ndarray:
-        cells = np.asarray(cells, dtype=np.int64)
-        strides = (3**self.n) ** np.arange(self.dimension, dtype=np.int64)
-        packed = self._packed()
-        keys = cells @ strides
-        if packed.size == 0:
-            return np.zeros(keys.shape, dtype=bool)
-        idx = np.minimum(np.searchsorted(packed, keys), packed.size - 1)
-        return packed[idx] == keys
 
 
 @lru_cache(maxsize=32)
@@ -144,12 +126,10 @@ def _cover_rec(a: tuple, m: int, lam: int, rho: Fraction, memo: dict) -> np.ndar
         a1 = a[0]
         center = rho / a1
         lo, hi = center - eps, center + eps
-        ks = []
-        k_start = max(0, math.floor(lo / eps) - 1)
-        k_stop = min(3**lam - 1, math.floor(hi / eps) + 1)
-        for k in range(k_start, k_stop + 1):
-            if k * eps < hi and (k + 1) * eps > lo and _is_admissible(k, lam):
-                ks.append(k)
+        admissible = _admissible(lam)
+        start = bisect_left(admissible, math.floor(lo / eps) - 1)
+        stop = bisect_right(admissible, math.floor(hi / eps) + 1)
+        ks = [k for k in admissible[start:stop] if k * eps < hi and (k + 1) * eps > lo]
         arr = np.array(ks, dtype=np.int64).reshape(-1, 1)
     elif lam == 0:
         lo = sum(min(c, 0) for c in a[:m])
@@ -182,14 +162,6 @@ def _cover_rec(a: tuple, m: int, lam: int, rho: Fraction, memo: dict) -> np.ndar
             arr = np.empty((0, m), dtype=np.int64)
     memo[key] = arr
     return arr
-
-
-def _is_admissible(k: int, lam: int) -> bool:
-    for _ in range(lam):
-        if k % 3 == 1:
-            return False
-        k //= 3
-    return True
 
 
 def cover_hyperplane(coeffs, rhs, n: int, max_cubes: int = 5_000_000) -> CoverCertificate:

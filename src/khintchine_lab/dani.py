@@ -211,28 +211,26 @@ def r_from_psi(psi: ApproxFunction, d: int, t):
 
 @dataclass(frozen=True)
 class RateFunction:
-    """r on [t_start, inf); slope/log_coeff carry the growth metadata
+    """The rate r of psi in dimension d, on [t_start, inf);
     r(t) = slope*t + log_coeff*log t + O(1)."""
 
-    t_start: float
+    psi: ApproxFunction
     d: int
-    evaluator: Callable
-    slope: float
-    log_coeff: float = 0.0
+
+    @property
+    def t_start(self) -> float:
+        return t0_of(self.psi, self.d)
+
+    @property
+    def slope(self) -> float:
+        return (self.psi.a - 1.0 / self.d) / (1.0 + self.psi.a)
+
+    @property
+    def log_coeff(self) -> float:
+        return self.psi.b / (1.0 + self.psi.a)
 
     def __call__(self, t):
-        out = np.asarray(self.evaluator(np.asarray(t, dtype=float)), dtype=float)
-        return out if out.ndim else float(out)
-
-    @classmethod
-    def from_psi(cls, psi: ApproxFunction, d: int) -> "RateFunction":
-        return cls(
-            t_start=t0_of(psi, d),
-            d=d,
-            evaluator=lambda t: r_from_psi(psi, d, t),
-            slope=(psi.a - 1.0 / d) / (1.0 + psi.a),
-            log_coeff=psi.b / (1.0 + psi.a),
-        )
+        return r_from_psi(self.psi, self.d, t)
 
     def check_monotonicity(self, span: float = 30.0, n: int = 1000) -> bool:
         """t - r strictly increasing, t/d + r non-decreasing (to 1e-9), on a grid."""
@@ -266,6 +264,8 @@ def psi_from_r(rate: RateFunction, d: int, x: float) -> float:
             raise InvalidPsiError("no upper bracket for t")
     while hi - lo > R_INTERVAL_TOL:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # adjacent floats wider than the tolerance (t >= 512)
         if g(mid) < 0.0:
             lo = mid
         else:
@@ -278,42 +278,31 @@ def psi_from_r(rate: RateFunction, d: int, x: float) -> float:
 # convergence classification
 
 
-@dataclass(frozen=True)
-class SeriesVerdict:
-    decision: str  # converges | diverges
-
-    def converges(self) -> bool:
-        return self.decision == "converges"
-
-
-def _power_verdict(power: float, log_power: float) -> SeriesVerdict:
-    """Verdict for sum/integral of x^power (log x)^(-log_power) dx."""
+def _power_verdict(power: float, log_power: float) -> str:
+    """Convergence of the sum/integral of x^power (log x)^(-log_power) dx:
+    "converges" or "diverges"."""
     scale = max(1.0, abs(power))
     if abs(power + 1.0) <= BORDERLINE_TOL * scale:
-        decision = "converges" if log_power > 1.0 else "diverges"
-    else:
-        decision = "converges" if power < -1.0 else "diverges"
-    return SeriesVerdict(decision=decision)
+        return "converges" if log_power > 1.0 else "diverges"
+    return "converges" if power < -1.0 else "diverges"
 
 
-def classify_khintchine_series(psi: ApproxFunction, d: int, alpha: float) -> SeriesVerdict:
-    """Convergence of sum x^(alpha/d - 1) psi(x)^alpha."""
+def classify_khintchine_series(psi: ApproxFunction, d: int, alpha: float) -> str:
+    """Convergence of sum x^(alpha/d - 1) psi(x)^alpha: "converges" or "diverges"."""
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     power = alpha / d - 1.0 - psi.a * alpha
     return _power_verdict(power, psi.b * alpha)
 
 
-def classify_rate_series(rate: RateFunction, gamma: float) -> SeriesVerdict:
-    """Convergence of sum_t exp(-gamma r(t))."""
+def classify_rate_series(rate: RateFunction, gamma: float) -> str:
+    """Convergence of sum_t exp(-gamma r(t)): "converges" or "diverges"."""
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     s = rate.slope
     if abs(s) <= BORDERLINE_TOL:
-        decision = "converges" if gamma * rate.log_coeff > 1.0 else "diverges"
-    else:
-        decision = "converges" if s > 0.0 else "diverges"
-    return SeriesVerdict(decision=decision)
+        return "converges" if gamma * rate.log_coeff > 1.0 else "diverges"
+    return "converges" if s > 0.0 else "diverges"
 
 
 @dataclass(frozen=True)
@@ -323,11 +312,11 @@ class EquivalenceReport:
     i_psi: np.ndarray
     i_r: np.ndarray
     ratios: np.ndarray
-    psi_verdict: SeriesVerdict
-    rate_verdict: SeriesVerdict
+    psi_verdict: str
+    rate_verdict: str
     agree: bool
-    q0_psi_verdict: SeriesVerdict
-    q0_rate_verdict: SeriesVerdict
+    q0_psi_verdict: str
+    q0_rate_verdict: str
     q0_agree: bool
 
 
@@ -364,7 +353,7 @@ def equivalence_check(
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    rate = RateFunction.from_psi(psi, d)
+    rate = RateFunction(psi, d)
     gamma = alpha * (d + 1) / d
     t0 = rate.t_start
     for big_t in grid:
@@ -391,8 +380,8 @@ def equivalence_check(
         ratios=ratios,
         psi_verdict=psi_v,
         rate_verdict=rate_v,
-        agree=psi_v.converges() == rate_v.converges(),
+        agree=psi_v == rate_v,
         q0_psi_verdict=q0_psi,
         q0_rate_verdict=q0_rate,
-        q0_agree=q0_psi.converges() == q0_rate.converges(),
+        q0_agree=q0_psi == q0_rate,
     )

@@ -17,7 +17,7 @@ import mpmath
 import numpy as np
 
 from .flows import diag_time, similarity_to_group
-from .ifs import IfsSystem
+from .ifs import IfsSystem, sample_words
 from .lattices import CompactWindow, _reduced_sup, _reduced_sups
 
 # tail_report draws and walks this many walks at a time, which bounds the
@@ -389,10 +389,8 @@ def tail_report(
     group_log_means: list[float] = []
     n_censored = 0
     for first in range(0, walks, WALK_GROUP):
-        # each walk's word in the rng order of one walk at a time
-        words = np.empty((min(WALK_GROUP, walks - first), total), dtype=np.intp)
-        for word in words:
-            word[:] = rng.choice(sys.alphabet_size, size=total, p=sys.weights)
+        # row by row, the rng order of one walk at a time
+        words = sample_words(sys, total, min(WALK_GROUP, walks - first), rng)
         for heights in walk_heights(sys, words):
             visits = np.flatnonzero(heights <= window.level)
             anchors = visits[visits >= burn_in]

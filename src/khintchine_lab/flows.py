@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 import mpmath
 import numpy as np
 
-from .ifs import IfsSystem, SimilarityMap
+from .ifs import IfsSystem, SimilarityMap, _freeze
 
 DET_RENORM_TOL = 1e-11
 P_SHAPE_TOL = 1e-10
@@ -30,12 +30,6 @@ ENTRY_OVERFLOW = 1e300
 
 class TrajectoryOverflowError(OverflowError):
     """Raised when accumulated matrix entries leave the float range."""
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)

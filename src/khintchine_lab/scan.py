@@ -52,10 +52,6 @@ class CrossCheckReport:
     crossings: int
     converse_violations: list
 
-    @property
-    def violations(self) -> int:
-        return len(self.direct_violations) + len(self.converse_violations)
-
 
 @dataclass(frozen=True)
 class BandStat:
@@ -163,7 +159,7 @@ def dani_cross_check(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size != d:
         raise ValueError("x has wrong dimension")
-    rate = RateFunction.from_psi(psi, d)
+    rate = RateFunction(psi, d)
     t0 = rate.t_start
     hits = scan_hits(x, psi, q_max, x_exact=x_exact)
     checked = [hit for hit in hits if math.isfinite(hit.witness_time) and hit.witness_time >= t0]

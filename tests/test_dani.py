@@ -167,7 +167,7 @@ def test_r_beyond_float_resolution_of_the_tolerance():
 def test_round_trip_psi_r_psi():
     for c, a, d in [(1.0, 1.5, 1), (2.0, 0.8, 2), (0.7, 1.0, 1)]:
         psi = ApproxFunction.power_log(c, a)
-        rate = RateFunction.from_psi(psi, d)
+        rate = RateFunction(psi, d)
         t0 = rate.t_start
         x_min = math.exp(t0 - float(rate(t0)))
         for x in np.geomspace(max(1.0, x_min) * 1.01, 1e8, 12):
@@ -175,56 +175,61 @@ def test_round_trip_psi_r_psi():
             assert back == pytest.approx(psi(float(x)), rel=1e-8)
 
 
+def test_psi_from_r_beyond_float_resolution_of_the_tolerance():
+    # x = 1e200 puts t near 576, where adjacent floats are wider than
+    # R_INTERVAL_TOL; the bisection on t stops there instead of looping forever
+    psi = ApproxFunction.power_log(1.0, 1.5)
+    back = dani.psi_from_r(RateFunction(psi, 1), 1, 1e200)
+    assert back == pytest.approx(psi(1e200), rel=1e-8)
+
+
 def test_psi_from_r_rejects_x_below_edge():
     psi = ApproxFunction.power_log(1.0, 1.5, x0=10.0)
-    rate = RateFunction.from_psi(psi, 1)
+    rate = RateFunction(psi, 1)
     with pytest.raises(ValueError, match="domain edge"):
         dani.psi_from_r(rate, 1, 1.0)
 
 
 def test_rate_metadata_from_power_log():
     psi = ApproxFunction.power_log(1.0, 1.5, b=1.0)
-    rate = RateFunction.from_psi(psi, 1)
+    rate = RateFunction(psi, 1)
     assert rate.slope == pytest.approx((1.5 - 1.0) / 2.5)
     assert rate.log_coeff == pytest.approx(1.0 / 2.5)
 
 
-def test_monotonicity_guard():
+def test_monotonicity_guard(monkeypatch):
     psi = ApproxFunction.power_log(1.0, 2.0)
-    assert RateFunction.from_psi(psi, 1).check_monotonicity()
+    rate = RateFunction(psi, 1)
+    assert rate.check_monotonicity()
+    # no power-log psi breaks the guard, so the rate it reads is swapped out
     # t - r decreasing
-    steep = RateFunction(t_start=0.0, d=1, evaluator=lambda t: 2.0 * t, slope=2.0)
+    monkeypatch.setattr(dani, "r_from_psi", lambda psi, d, t: 2.0 * t)
     with pytest.raises(ValueError, match="increasing"):
-        steep.check_monotonicity(span=9.0, n=50)
+        rate.check_monotonicity(span=9.0, n=50)
     # t/d + r decreasing
-    falling = RateFunction(t_start=0.0, d=1, evaluator=lambda t: -2.0 * t, slope=-2.0)
+    monkeypatch.setattr(dani, "r_from_psi", lambda psi, d, t: -2.0 * t)
     with pytest.raises(ValueError, match="decreases"):
-        falling.check_monotonicity(span=9.0, n=50)
+        rate.check_monotonicity(span=9.0, n=50)
 
 
 def test_series_classification_power_laws():
     # d = 1, alpha = 1: sum psi(q) converges iff a > 1, with the borderline
     # a = 1 decided by the log power
-    assert dani.classify_khintchine_series(
-        ApproxFunction.power_log(1.0, 2.0), 1, 1.0
-    ).converges()
-    assert not dani.classify_khintchine_series(
-        ApproxFunction.power_log(1.0, 0.5), 1, 1.0
-    ).converges()
-    border = dani.classify_khintchine_series(ApproxFunction.power_log(1.0, 1.0), 1, 1.0)
-    assert border.decision == "diverges"
-    assert dani.classify_khintchine_series(
-        ApproxFunction.power_log(1.0, 1.0, b=2.0), 1, 1.0
-    ).converges()
+    def verdict(*args, **kwargs):
+        return dani.classify_khintchine_series(ApproxFunction.power_log(*args, **kwargs), 1, 1.0)
+
+    assert verdict(1.0, 2.0) == "converges"
+    assert verdict(1.0, 0.5) == "diverges"
+    assert verdict(1.0, 1.0) == "diverges"
+    assert verdict(1.0, 1.0, b=2.0) == "converges"
     with pytest.raises(ValueError):
         dani.classify_khintchine_series(ApproxFunction.power_log(1.0, 1.0), 1, 0.0)
 
 
 def test_rate_series_matches_slope_sign():
-    for a, want in [(2.0, True), (0.4, False)]:
-        rate = RateFunction.from_psi(ApproxFunction.power_log(1.0, a), 1)
-        v = dani.classify_rate_series(rate, 2.0)
-        assert v.converges() == want
+    for a, want in [(2.0, "converges"), (0.4, "diverges")]:
+        rate = RateFunction(ApproxFunction.power_log(1.0, a), 1)
+        assert dani.classify_rate_series(rate, 2.0) == want
     with pytest.raises(ValueError):
         dani.classify_rate_series(rate, -1.0)
 
@@ -296,7 +301,7 @@ def test_partial_integrals_match_tanh_sinh(c, a, b, x0, d):
     psi = ApproxFunction.power_log(c, a, b, x0)
     alpha = 0.7
     rep = dani.equivalence_check(psi, d, alpha)
-    rate = RateFunction.from_psi(psi, d)
+    rate = RateFunction(psi, d)
     t_edges = [rate.t_start, *rep.truncations]
     u_edges = [t - rate(t) for t in t_edges]
     gamma = rep.gamma
