@@ -45,6 +45,11 @@ _GL_NODES = np.array([-x for x, _ in reversed(_GL_HALF)] + [x for x, _ in _GL_HA
 _GL_WEIGHTS = np.array([w for _, w in reversed(_GL_HALF)] + [w for _, w in _GL_HALF])
 
 
+def _libm(fn, values: np.ndarray) -> np.ndarray:
+    """fn, a ``math`` function, applied to each entry of values."""
+    return np.fromiter(map(fn, values.ravel().tolist()), float, values.size).reshape(values.shape)
+
+
 class InvalidPsiError(ValueError):
     """Bisection could not bracket a root; psi is not usably monotone."""
 
@@ -80,9 +85,21 @@ class ApproxFunction:
         return out if out.ndim else float(out)
 
     def __call__(self, x):
+        """psi at x, a float or an array of floats, from libm.
+
+        The formula is ``log_eval``'s with x clipped to [x0, inf), but every
+        log, exp and log1p is a ``math`` call on one value (the +, - and *
+        between them are IEEE in any loop), so no psi value depends on the
+        SIMD loops numpy dispatches for its array ``log`` and ``exp``.
+        """
         x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            out = np.exp(self.log_eval(np.log(np.maximum(x, 0.0))))
+        u = _libm(math.log, np.maximum(x, self.domain_start))
+        log_psi = math.log(self.c) - self.a * u
+        if self.b:
+            # numpy's logaddexp(1, u): the larger argument plus log1p(e^-gap)
+            lae = np.maximum(u, 1.0) + _libm(math.log1p, _libm(math.exp, -np.abs(1.0 - u)))
+            log_psi -= self.b * _libm(math.log, lae)
+        out = _libm(math.exp, log_psi)
         return out if out.ndim else float(out)
 
     def to_json(self) -> dict:
@@ -243,8 +260,9 @@ class RateFunction:
         return True
 
 
-def psi_from_r(rate: RateFunction, d: int, x: float) -> float:
-    """psi(x) = e^{-t/d - r(t)} at the unique t with e^{t - r(t)} = x."""
+def psi_from_r(rate: RateFunction, x: float) -> float:
+    """psi(x) = e^{-t/d - r(t)} at the unique t with e^{t - r(t)} = x,
+    d = rate.d."""
     log_x = math.log(x)
     t0 = rate.t_start
 
@@ -271,7 +289,7 @@ def psi_from_r(rate: RateFunction, d: int, x: float) -> float:
         else:
             hi = mid
     t = 0.5 * (lo + hi)
-    return math.exp(-t / d - float(rate(t)))
+    return math.exp(-t / rate.d - float(rate(t)))
 
 
 # ---------------------------------------------------------------------------

@@ -134,9 +134,19 @@ def diag_time(kappa: float, d: int) -> float:
 
 
 def diagonal_point(x, t: float) -> GroupElement:
-    """a_t u_x, the diagonal-flow orbit of the point x."""
+    """a_t u_x, the diagonal-flow orbit of the point x.
+
+    Built in closed form, row 0 = e^t (1, -x) over the block e^{-t/d} I: the
+    same values as ``diag_element(t, d) @ unipotent_element(x)``.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return diag_element(t, x.size) @ unipotent_element(x)
+    d = x.size
+    m = np.diag(np.full(d + 1, math.exp(-t / d)))
+    m[0, 0] = math.exp(t)
+    m[0, 1:] = m[0, 0] * -x
+    if np.max(np.abs(m)) > ENTRY_OVERFLOW:
+        raise TrajectoryOverflowError("matrix entries exceed 1e300")
+    return GroupElement(m)
 
 
 def rho_apply(p: GroupElement, beta) -> np.ndarray:

@@ -1,9 +1,13 @@
 """Brute-force psi-approximability scanning and the hit <-> height bridge.
 
 A hit at q is ||q x - p||_inf < psi(q) with p the coordinatewise nearest
-integer vector (ties to even).  Rational x gets exact Fraction arithmetic,
-with psi(q) entering as the exact binary value of its double evaluation;
-everything else runs in correctly-rounded doubles.
+integer vector (ties to even).  Every psi(q) a hit is decided against is the
+libm value ``ApproxFunction.__call__`` returns, so hit sets do not depend on
+numpy's CPU dispatch.  Rational x is scanned in integers: with x_j = A_j / B
+over a common denominator, q is a hit when max_j |q A_j - p_j B| * n < m * B
+for psi(q) = m / n, and only hits turn their error into a float.  Other x run
+in doubles, with numpy's array psi as a filter and the libm psi deciding every
+q near it.
 
 The bridge: a hit balances the lattice vector (e^{-t} q, e^{t/d}(q x - p))
 at t* = d/(d+1) (log q - log E), forcing the orbit height l(a_t u_x) up to
@@ -26,6 +30,9 @@ from .ifs import IfsSystem, diameter_estimate, sample_fractal
 from .lattices import height, shortest_vector
 
 _Q_CHUNK = 1 << 15
+# The float scan decides with the libm psi every q whose error is at most
+# (1 + _PSI_WINDOW) times numpy's psi; the two psi differ by under 4e-15.
+_PSI_WINDOW = 1e-9
 
 
 @dataclass(frozen=True)
@@ -102,40 +109,58 @@ def _make_record(q: int, p: np.ndarray, err_q: float, psi_q: float, d: int) -> H
     )
 
 
+def _exact_hits(x_exact: Sequence[Fraction], psi: ApproxFunction, q_max: int) -> list[HitRecord]:
+    d = len(x_exact)
+    big_b = math.lcm(*(xe.denominator for xe in x_exact))
+    nums = [xe.numerator * (big_b // xe.denominator) for xe in x_exact]
+    out = []
+    for lo in range(1, q_max + 1, _Q_CHUNK):
+        hi = min(lo + _Q_CHUNK, q_max + 1)
+        for q, psi_q in zip(range(lo, hi), psi(np.arange(lo, hi, dtype=float)).tolist()):
+            p, e_max = [], 0
+            for a_j in nums:
+                # q A_j / B rounded half to even, and its residue |q A_j - p_j B|
+                p_j, rem = divmod(q * a_j, big_b)
+                if 2 * rem > big_b or (2 * rem == big_b and p_j & 1):
+                    p_j, rem = p_j + 1, big_b - rem
+                p.append(p_j)
+                e_max = max(e_max, rem)
+            m, n = psi_q.as_integer_ratio()
+            if e_max * n < m * big_b:
+                out.append(_make_record(q, np.array(p, dtype=int), e_max / big_b, psi_q, d))
+    return out
+
+
 def scan_hits(x, psi: ApproxFunction, q_max: int, x_exact: Sequence[Fraction] | None = None) -> list[HitRecord]:
     """All q in [1, q_max] with ||q x - p||_inf < psi(q), nearest p.
 
-    psi is evaluated as an array, one chunk of q at a time.  With x_exact the
-    comparison is carried out in exact rational arithmetic (psi(q) as the
-    exact value of its double); otherwise in doubles.
+    Every hit is decided against the libm ``psi(q)`` and carries it in its
+    margin.  With x_exact the comparison is exact, in integers, and the error
+    of a hit is correctly rounded.  Otherwise x is scanned in doubles one
+    chunk of q at a time: numpy's psi filters the chunk, and the libm psi
+    decides each q whose error is below numpy's psi or within a relative
+    ``_PSI_WINDOW`` above it.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = x.size
-    if x_exact is not None and len(x_exact) != d:
-        raise ValueError("x_exact length mismatch")
+    if x_exact is not None:
+        if len(x_exact) != d:
+            raise ValueError("x_exact length mismatch")
+        return _exact_hits(x_exact, psi, q_max)
     out: list[HitRecord] = []
     for lo in range(1, q_max + 1, _Q_CHUNK):
         qs = np.arange(lo, min(lo + _Q_CHUNK, q_max + 1))
-        psi_q = np.asarray(psi(qs.astype(float)), dtype=float)
-        if x_exact is None:
-            qx = qs[:, None] * x[None, :]
-            p = np.rint(qx)
-            err = np.max(np.abs(qx - p), axis=1)
-            for i in np.flatnonzero(err < psi_q):
-                out.append(
-                    _make_record(
-                        int(qs[i]), p[i].astype(int), float(err[i]), float(psi_q[i]), d
-                    )
-                )
-            continue
-        for q, psi_f in zip(range(lo, lo + qs.size), psi_q.tolist()):
-            qx = [q * xe for xe in x_exact]
-            p = [round(v) for v in qx]
-            err = max(abs(v - pi) for v, pi in zip(qx, p))
-            if err < Fraction(psi_f):
-                out.append(_make_record(q, np.array(p, dtype=int), float(err), psi_f, d))
+        qx = qs[:, None] * x[None, :]
+        p = np.rint(qx)
+        err = np.max(np.abs(qx - p), axis=1)
+        psi_np = np.exp(psi.log_eval(np.log(qs)))
+        near = np.flatnonzero(err <= (1.0 + _PSI_WINDOW) * psi_np)
+        for i, psi_q in zip(near.tolist(), psi(qs[near].astype(float)).tolist()):
+            err_q = float(err[i])
+            if err_q < psi_q:
+                out.append(_make_record(lo + i, p[i].astype(int), err_q, psi_q, d))
     return out
 
 

@@ -200,7 +200,7 @@ def test_a06_rate_closed_form_and_round_trip(criterion):
             psi = ApproxFunction.power_log(1.0, a)
             rate = RateFunction(psi, d)
             for x in np.geomspace(2.0, 1e8, 10):
-                back = dani.psi_from_r(rate, d, float(x))
+                back = dani.psi_from_r(rate, float(x))
                 worst_rt = max(worst_rt, abs(back - psi(float(x))) / psi(float(x)))
         elapsed = time.perf_counter() - start
         ok = (

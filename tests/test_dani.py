@@ -171,7 +171,7 @@ def test_round_trip_psi_r_psi():
         t0 = rate.t_start
         x_min = math.exp(t0 - float(rate(t0)))
         for x in np.geomspace(max(1.0, x_min) * 1.01, 1e8, 12):
-            back = dani.psi_from_r(rate, d, float(x))
+            back = dani.psi_from_r(rate, float(x))
             assert back == pytest.approx(psi(float(x)), rel=1e-8)
 
 
@@ -179,7 +179,7 @@ def test_psi_from_r_beyond_float_resolution_of_the_tolerance():
     # x = 1e200 puts t near 576, where adjacent floats are wider than
     # R_INTERVAL_TOL; the bisection on t stops there instead of looping forever
     psi = ApproxFunction.power_log(1.0, 1.5)
-    back = dani.psi_from_r(RateFunction(psi, 1), 1, 1e200)
+    back = dani.psi_from_r(RateFunction(psi, 1), 1e200)
     assert back == pytest.approx(psi(1e200), rel=1e-8)
 
 
@@ -187,7 +187,7 @@ def test_psi_from_r_rejects_x_below_edge():
     psi = ApproxFunction.power_log(1.0, 1.5, x0=10.0)
     rate = RateFunction(psi, 1)
     with pytest.raises(ValueError, match="domain edge"):
-        dani.psi_from_r(rate, 1, 1.0)
+        dani.psi_from_r(rate, 1.0)
 
 
 def test_rate_metadata_from_power_log():

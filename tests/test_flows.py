@@ -57,6 +57,15 @@ def test_unipotent_sign_convention():
     np.testing.assert_allclose(inv[0], [1.0, 1.0, 2.0], atol=1e-14)
 
 
+def test_diagonal_point_is_the_product_a_t_u_x():
+    rng = np.random.default_rng(12)
+    for d in (1, 2, 3):
+        for t in np.linspace(0.0, 15.0, 61).tolist():
+            x = rng.random(d) * 4.0 - 2.0
+            closed = flows.diagonal_point(x, t).matrix
+            assert np.array_equal(closed, (diag_element(t, d) @ unipotent_element(x)).matrix)
+
+
 def test_rho_unipotent_translates():
     u = unipotent_element([1.0, 2.0])
     out = flows.rho_apply(u, np.zeros(2))

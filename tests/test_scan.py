@@ -79,6 +79,77 @@ def test_exact_and_float_paths_agree():
         assert np.array_equal(he.p, hf.p)
 
 
+def _fraction_scan(x_exact, psi, q_max):
+    # the reference oracle: every q in Fractions, psi(q) as the exact value of
+    # its libm double
+    d = len(x_exact)
+    out = []
+    for q, psi_f in zip(range(1, q_max + 1), psi(np.arange(1.0, q_max + 1.0)).tolist()):
+        qx = [q * xe for xe in x_exact]
+        p = [round(v) for v in qx]  # Fraction rounds half to even
+        err = max(abs(v - pi) for v, pi in zip(qx, p))
+        if err < Fraction(psi_f):
+            err_f = float(err)
+            t_star = math.inf if err == 0 else d / (d + 1) * (math.log(q) - math.log(err_f))
+            out.append((q, p, err_f / q, (psi_f - err_f) / q, t_star))
+    return out
+
+
+def _fields(hits):
+    return [(h.q, h.p.tolist(), h.error, h.margin, h.witness_time) for h in hits]
+
+
+PSI_FAMILIES = [
+    ApproxFunction.power_log(1.0, 1.0),
+    ApproxFunction.power_log(0.5, 1.5, x0=3.0),
+    ApproxFunction.power_log(2.0, 1.0, b=1.0),
+]
+
+
+@pytest.mark.parametrize("psi", PSI_FAMILIES, ids=["q^-1", "q^-1.5/2", "log"])
+def test_integer_scan_matches_fraction_reference(psi):
+    rng = np.random.default_rng(17)
+    targets = [[Fraction(1, 2)], [Fraction(5, 6)], [Fraction(1, 4)], [Fraction(-7, 2)],
+               [Fraction(1, 2), Fraction(5, 6)], [Fraction(1, 4), Fraction(3, 10), Fraction(1, 2)]]
+    for d in (1, 2, 3):
+        for _ in range(4):
+            targets.append([Fraction(int(rng.integers(-50, 400)), int(rng.integers(1, 300)))
+                            for _ in range(d)])
+    for x_exact in targets:
+        x = [float(v) for v in x_exact]
+        got = _fields(scan.scan_hits(x, psi, 600, x_exact=x_exact))
+        assert got == _fraction_scan(x_exact, psi, 600), x_exact
+
+
+def test_integer_scan_rounds_half_ties_to_even():
+    # q = 1 puts 1/2, and q = 3 puts 3/2 and 15/6, exactly halfway between
+    # integers; psi = 1 makes every q a hit, and each tie rounds to even
+    hits = scan.scan_hits([0.5, 5 / 6], ApproxFunction.power_log(1.0, 0.0), 3,
+                          x_exact=[Fraction(1, 2), Fraction(5, 6)])
+    assert [h.p.tolist() for h in hits] == [[0, 1], [1, 2], [2, 2]]
+
+
+def test_float_scan_decides_every_q_with_libm_psi():
+    rng = np.random.default_rng(23)
+    q_max = 10_000
+    qs = np.arange(1, q_max + 1)
+    total = 0
+    for d in (1, 2, 3):
+        for psi in PSI_FAMILIES:
+            x = rng.random(d)
+            want = []
+            for q, psi_q in zip(qs.tolist(), psi(qs.astype(float)).tolist()):
+                qx = q * x
+                p = np.rint(qx)
+                err = float(np.max(np.abs(qx - p)))
+                if err < psi_q:
+                    want.append((q, p.astype(int).tolist(), err / q, (psi_q - err) / q))
+            hits = scan.scan_hits(x, psi, q_max)
+            assert [(h.q, h.p.tolist(), h.error, h.margin) for h in hits] == want
+            total += len(want)
+    assert total > 20
+
+
 def test_hit_record_fields():
     x = np.array([1 / 3 + 1e-4])
     hits = scan.scan_hits(x, psi_over_q(), 3)
