@@ -217,15 +217,23 @@ def sample_words(
     return rng.choice(sys.alphabet_size, size=(count, depth), p=sys.weights)
 
 
+def _is_horner(sys: IfsSystem) -> bool:
+    eye = np.eye(sys.dimension)
+    return all(m.ratio == sys.kappa and np.array_equal(m.rotation, eye) for m in sys.maps)
+
+
 def points_of_words(sys: IfsSystem, words: np.ndarray) -> np.ndarray:
-    """Vectorized coding points for a batch of equal-length words."""
+    """Vectorized coding points for a batch of equal-length words.
+
+    Each point is within ``rounding_bound(sys)`` of the exact coding point
+    of its word under the system's float parameters.
+    """
     words = np.asarray(words, dtype=int)
     if words.ndim != 2:
         raise ValueError("words must be a 2-d array")
     count, depth = words.shape
     pts = np.broadcast_to(sys.base_point(), (count, sys.dimension)).copy()
-    eye = np.eye(sys.dimension)
-    if all(m.ratio == sys.kappa and np.array_equal(m.rotation, eye) for m in sys.maps):
+    if _is_horner(sys):
         # Horner step p <- kappa p + t_s: the same floats as the masked loop,
         # since x @ I is exactly x
         table = np.array([m.translation for m in sys.maps])
@@ -242,6 +250,29 @@ def points_of_words(sys: IfsSystem, words: np.ndarray) -> np.ndarray:
             if mask.any():
                 pts[mask] = sys.maps[s](pts[mask])
     return pts
+
+
+def rounding_bound(sys: IfsSystem) -> float:
+    """Euclidean bound on the float error of ``points_of_words``, any depth.
+
+    The error is measured against the same word's coding point in exact
+    arithmetic on the system's float parameters and base point p0.  With u =
+    2^-53, one step of a map rounds the rotation's d-term dot products (by at
+    most d^{3/2} u |x| in norm; exact on the Horner route), the scaling by the
+    ratio (kappa u |x|) and the translation (u |phi(x)|).  Every coding point
+    lies within R = |p0| + max_s |phi_s(p0) - p0| / (1 - kappa) of the origin,
+    so a step adds at most u ((1 + d^{3/2}) kappa + 1) R, and the maps
+    contract the errors of earlier steps: the total is at most that over
+    1 - kappa.  The factor 1.01 absorbs second-order terms and the drift of
+    computed points beyond R.
+    """
+    d = sys.dimension
+    kappa = max(m.ratio for m in sys.maps)
+    p0 = sys.base_point()
+    step = max(float(np.linalg.norm(m(p0) - p0)) for m in sys.maps)
+    reach = float(np.linalg.norm(p0)) + step / (1.0 - kappa)
+    dot = 0.0 if _is_horner(sys) else d * math.sqrt(d)
+    return 1.01 * 2.0**-53 * ((1.0 + dot) * kappa + 1.0) * reach / (1.0 - kappa)
 
 
 # Fixed chunk size: the sample stream for a given seed must not depend on how

@@ -26,13 +26,16 @@ import numpy as np
 
 from .dani import ApproxFunction, RateFunction
 from .flows import diagonal_point
-from .ifs import IfsSystem, diameter_estimate, sample_fractal
+from .ifs import IfsSystem, diameter_estimate, rounding_bound, sample_fractal
 from .lattices import height, shortest_vector
 
 _Q_CHUNK = 1 << 15
 # The float scan decides with the libm psi every q whose error is at most
 # (1 + _PSI_WINDOW) times numpy's psi; the two psi differ by under 4e-15.
 _PSI_WINDOW = 1e-9
+# survey folds coordinate 0 over blocks of at most this many (point, q) pairs
+# (one q at least), so that its two float buffers stay in a core's cache
+_SURVEY_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,7 @@ class BandStat:
 
     @property
     def fraction(self) -> float:
-        return self.n_certain / self.n_points if self.n_points else 0.0
+        return self.n_certain / self.n_points
 
 
 def parse_point(text: str):
@@ -228,6 +231,23 @@ def dani_cross_check(
     )
 
 
+def _guard_radius(sys: IfsSystem, depth: int, coords: np.ndarray) -> float:
+    """Per unit of q, how far a survey error may lie from a true one.
+
+    For a sampled float point y and any attractor point x coded by an
+    infinite extension of y's word, the computed error max_j |fl(q y_j) -
+    rint(fl(q y_j))| lies within q * radius of the distance from q x to the
+    nearest integer vector.  The radius sums the coding truncation
+    kappa^depth * diam, the float error ``ifs.rounding_bound`` of y, and the
+    rounding of q y_j (at most 2^-53 |q y_j|; the subtraction of rint and the
+    max are exact).  The last factor covers the roundings of this sum and of
+    q * radius.
+    """
+    trunc = sys.kappa**depth * diameter_estimate(sys)
+    q_rounding = 2.0**-53 * float(np.max(np.abs(coords)))
+    return (trunc + rounding_bound(sys) + q_rounding) * (1.0 + 2.0**-50)
+
+
 def survey(
     sys: IfsSystem,
     psi: ApproxFunction,
@@ -238,24 +258,31 @@ def survey(
 ) -> list[BandStat]:
     """Per-point hit presence in dyadic q bands over a fractal sample.
 
-    A band hit is `certain` only when its margin survives the coding
-    truncation radius kappa^depth * diam; points whose best margin in a band
-    is inside that radius are reported `uncertain`, not counted as hits.
+    A band hit is `certain` only when its float margin psi(q) - err exceeds
+    the guard q * ``_guard_radius``, which covers the coding truncation and
+    the float error of the point and of q x; points whose best margin in a
+    band is inside the guard are reported `uncertain`, not counted as hits.
+
+    Coordinate 0 alone is folded over every (point, q) pair, into margin_0 =
+    psi(q) - err_0.  Only the pairs with margin_0 >= -guard are finished over
+    the other coordinates.  The counts are those of folding every coordinate
+    over every pair: the max is exact, so err >= err_0, and IEEE subtraction
+    is monotone, so margin <= margin_0; a dropped pair has margin < -guard
+    and is neither certain nor uncertain.  A nan psi(q) fails every test on
+    both routes.
     """
-    if sample_count < 0 or q_max < 1:
-        raise ValueError("need sample_count >= 0 and q_max >= 1")
-    if sample_count == 0:
-        return []
+    if sample_count < 1 or q_max < 1:
+        raise ValueError("need sample_count >= 1 and q_max >= 1")
     if depth is None:
         depth = sys.default_depth()
     coords = np.ascontiguousarray(
         sample_fractal(sys, sample_count, depth=depth, seed=seed).T
     )  # (d, N): one row per coordinate
-    trunc = sys.kappa**depth * diameter_estimate(sys)
+    radius = _guard_radius(sys, depth, coords)
+    x_0 = coords[0][:, None]
     n_bands = q_max.bit_length()
-    # each (N, chunk) block holds at most 2^22 / d floats
-    chunk = max(1, (1 << 22) // (sample_count * sys.dimension))
-    err_buf, dist_buf, near_buf = (np.empty((sample_count, min(chunk, q_max))) for _ in range(3))
+    chunk = max(1, _SURVEY_BLOCK // sample_count)
+    err_buf, margin_buf = (np.empty((sample_count, min(chunk, q_max))) for _ in range(2))
     stats = []
     for k in range(n_bands):
         q_lo = 2**k
@@ -265,23 +292,26 @@ def survey(
         qs_all = np.arange(q_lo, q_hi + 1)
         for lo in range(0, qs_all.size, chunk):
             qs = qs_all[lo : lo + chunk].astype(float)
-            psi_q = np.asarray(psi(qs), dtype=float)
-            # err = max_j |q x_j - rint(q x_j)|, folded one coordinate at a time
+            psi_q = np.broadcast_to(np.asarray(psi(qs), dtype=float), qs.shape)
+            guard = qs * radius
             err = err_buf[:, : qs.size]
-            dist = dist_buf[:, : qs.size]
-            near = near_buf[:, : qs.size]
-            for j, x_j in enumerate(coords):
-                block = dist if j else err
-                np.multiply(x_j[:, None], qs, out=block)
-                np.rint(block, out=near)
-                np.subtract(block, near, out=block)
-                np.abs(block, out=block)
-                if j:
-                    np.maximum(err, dist, out=err)
-            margin = np.subtract(psi_q, err, out=err)
-            guard = qs * trunc
-            certain |= np.any(margin > guard, axis=1)
-            uncertain |= np.any(np.abs(margin, out=margin) <= guard, axis=1)
+            margin = margin_buf[:, : qs.size]
+            np.multiply(x_0, qs, out=err)
+            np.rint(err, out=margin)
+            np.subtract(err, margin, out=err)
+            np.abs(err, out=err)
+            np.subtract(psi_q, err, out=margin)
+            rows, cols = np.divmod(np.flatnonzero(margin >= -guard), qs.size)
+            # finish the kept pairs: err = max_j |q x_j - rint(q x_j)|
+            pair_err = err[rows, cols]
+            pair_q = qs[cols]
+            for x_j in coords[1:]:
+                qx = x_j[rows] * pair_q
+                np.maximum(pair_err, np.abs(qx - np.rint(qx)), out=pair_err)
+            pair_margin = psi_q[cols] - pair_err
+            pair_guard = guard[cols]
+            certain[rows[pair_margin > pair_guard]] = True
+            uncertain[rows[np.abs(pair_margin) <= pair_guard]] = True
         uncertain &= ~certain
         stats.append(
             BandStat(

@@ -205,6 +205,15 @@ def test_main_excursions_without_records_exits_1(tmp_path, capsys):
     assert "no excursion record" in capsys.readouterr().err
 
 
+def test_main_survey_without_points_exits_1(tmp_path, capsys):
+    # a survey of no sample point would report no band at all
+    argv = ["survey", "--count", "0", "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert "sample_count >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "survey.csv").exists()
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_approx_scans_once(tmp_path, monkeypatch):
     # hits.csv and the cross-check verdicts come from one scan of q = 1..q_max
     calls = []

@@ -260,21 +260,138 @@ def test_survey_matches_naive_loop(depth):
         assert sum(b.n_uncertain for b in bands) > 0
 
 
-def test_survey_splits_wide_bands_into_blocks():
-    # 2^15 points in d=2 cut each band into blocks of 64 q; psi(q) = 1/(4q)
-    # is one correctly rounded division, the same float in any block
-    sys = ifs.cantor_product(2)
-    count, q_max, depth = 1 << 15, 200, 12
-    bands = scan.survey(sys, lambda qs: 0.25 / qs, count, q_max, depth=depth, seed=4)
-    points = ifs.sample_fractal(sys, count, depth=depth, seed=4)
-    trunc = sys.kappa**depth * ifs.diameter_estimate(sys)
-    for band in bands[-2:]:
+def _dense_survey(points, psi, q_max, radius):
+    # the reference: every coordinate folded over every (point, q) pair of a
+    # block of q, in three (N, chunk) float buffers
+    count, d = points.shape
+    coords = np.ascontiguousarray(points.T)
+    chunk = max(1, (1 << 20) // (count * d))
+    err_buf, dist_buf, near_buf = (np.empty((count, min(chunk, q_max))) for _ in range(3))
+    stats = []
+    for k in range(q_max.bit_length()):
+        q_lo, q_hi = 2**k, min(2 ** (k + 1) - 1, q_max)
         certain = np.zeros(count, dtype=bool)
         uncertain = np.zeros(count, dtype=bool)
-        for q in range(band.q_lo, band.q_hi + 1):
-            qx = q * points
-            margin = 0.25 / q - np.max(np.abs(qx - np.rint(qx)), axis=1)
-            certain |= margin > q * trunc
-            uncertain |= np.abs(margin) <= q * trunc
-        assert band.n_certain == int(certain.sum()) > 0
-        assert band.n_uncertain == int((uncertain & ~certain).sum()) > 0
+        qs_all = np.arange(q_lo, q_hi + 1)
+        for lo in range(0, qs_all.size, chunk):
+            qs = qs_all[lo : lo + chunk].astype(float)
+            psi_q = np.asarray(psi(qs), dtype=float)
+            err = err_buf[:, : qs.size]
+            dist = dist_buf[:, : qs.size]
+            near = near_buf[:, : qs.size]
+            for j, x_j in enumerate(coords):
+                block_j = dist if j else err
+                np.multiply(x_j[:, None], qs, out=block_j)
+                np.rint(block_j, out=near)
+                np.subtract(block_j, near, out=block_j)
+                np.abs(block_j, out=block_j)
+                if j:
+                    np.maximum(err, dist, out=err)
+            margin = np.subtract(psi_q, err, out=err)
+            guard = qs * radius
+            certain |= np.any(margin > guard, axis=1)
+            uncertain |= np.any(np.abs(margin, out=margin) <= guard, axis=1)
+        uncertain &= ~certain
+        stats.append(scan.BandStat(k, q_lo, q_hi, count, int(certain.sum()), int(uncertain.sum())))
+    return stats
+
+
+def test_survey_splits_wide_bands_into_blocks():
+    # 2^15 points cut each band into blocks of 2 q; psi(q) = 1/(4q) is one
+    # correctly rounded division, the same float in any block
+    sys = ifs.cantor_product(2)
+    count, q_max, depth = 1 << 15, 200, 12
+    psi = lambda qs: 0.25 / qs
+    bands = scan.survey(sys, psi, count, q_max, depth=depth, seed=4)
+    points = ifs.sample_fractal(sys, count, depth=depth, seed=4)
+    assert bands == _dense_survey(points, psi, q_max, scan._guard_radius(sys, depth, points.T))
+    assert scan._SURVEY_BLOCK // count < bands[-1].q_hi - bands[-1].q_lo
+    for band in bands[-2:]:
+        assert band.n_certain > 0 and band.n_uncertain > 0
+
+
+def _psi_with_nans(qs):
+    return np.where(qs % 3 == 0, np.nan, 0.5 / qs)
+
+
+# (d, depth, points, q_max, psi); shallow depths leave uncertain points
+DENSE_CASES = {
+    "d1-depth3": (1, 3, 300, 500, ApproxFunction.power_log(1.0, 1.5)),
+    "d1-default": (1, None, 300, 500, ApproxFunction.power_log(1.0, 1.5)),
+    "d2-depth4": (2, 4, 300, 500, ApproxFunction.power_log(1.0, 1.5)),
+    "d2-depth5": (2, 5, 300, 500, ApproxFunction.power_log(1.0, 1.0)),
+    "d2-default": (2, None, 300, 500, ApproxFunction.power_log(1.0, 1.5)),
+    "d3-depth3": (3, 3, 300, 300, ApproxFunction.power_log(1.0, 1.0)),
+    "d3-default": (3, None, 300, 300, ApproxFunction.power_log(2.0, 1.0, b=1.0)),
+    "d2-scalar-psi": (2, 4, 300, 300, lambda qs: 0.05),
+    "d2-nan-psi": (2, 4, 300, 300, _psi_with_nans),
+}
+
+
+@pytest.mark.parametrize("case", list(DENSE_CASES))
+def test_survey_matches_dense_fold(case):
+    d, depth, count, q_max, psi = DENSE_CASES[case]
+    sys = ifs.cantor_product(d)
+    bands = scan.survey(sys, psi, count, q_max, depth=depth, seed=6)
+    depth = sys.default_depth() if depth is None else depth
+    points = ifs.sample_fractal(sys, count, depth=depth, seed=6)
+    radius = scan._guard_radius(sys, depth, points.T)
+    assert bands == _dense_survey(points, psi, q_max, radius)
+    assert sum(b.n_certain for b in bands) > 0
+    assert (sum(b.n_uncertain for b in bands) > 0) == (depth < 20)
+
+
+def _exact_coding_points(sys, words):
+    # phi_{b_1} o ... o phi_{b_n}(p0) in Fractions, on the float parameters
+    maps = [(Fraction(m.ratio), [[Fraction(v) for v in row] for row in m.rotation.tolist()],
+             [Fraction(v) for v in m.translation.tolist()]) for m in sys.maps]
+    d = sys.dimension
+    out = []
+    for word in words.tolist():
+        p = [Fraction(v) for v in sys.base_point().tolist()]
+        for s in reversed(word):
+            ratio, rot, trans = maps[s]
+            p = [ratio * sum(p[i] * rot[i][j] for i in range(d)) + trans[j] for j in range(d)]
+        out.append(p)
+    return out
+
+
+def _rotated_system():
+    turn = [[math.cos(0.7), math.sin(0.7)], [-math.sin(0.7), math.cos(0.7)]]
+    maps = (
+        ifs.SimilarityMap(0.4, turn, [0.1, -0.2]),
+        ifs.SimilarityMap(0.4, np.eye(2), [0.6, 0.2]),
+        ifs.SimilarityMap(0.4, [[0.6, 0.8], [-0.8, 0.6]], [-0.3, 0.5]),
+    )
+    return ifs.IfsSystem(maps=maps, weights=np.array([0.3, 0.3, 0.4]))
+
+
+@pytest.mark.parametrize("system", ["cantor:1", "cantor:2", "cantor:3", "rotated"])
+def test_survey_guard_covers_float_points(system):
+    sys = _rotated_system() if system == "rotated" else ifs.cantor_product(int(system[-1]))
+    depth = sys.default_depth()
+    words = ifs.sample_words(sys, depth, 60, np.random.default_rng(31))
+    points = ifs.points_of_words(sys, words)
+    exact = _exact_coding_points(sys, words)
+    # the float points are within rounding_bound of the exact ones, and the
+    # bound is no more than 16 times the largest error seen
+    point_err = max(
+        math.sqrt(sum((Fraction(v) - e) ** 2 for v, e in zip(row, ex)))
+        for row, ex in zip(points.tolist(), exact)
+    )
+    bound = ifs.rounding_bound(sys)
+    assert point_err <= bound <= 16 * point_err
+    # every computed error is within q * radius of the exact one; the
+    # truncation radius alone would not cover it
+    radius = Fraction(scan._guard_radius(sys, depth, points.T))
+    trunc = Fraction(sys.kappa**depth * ifs.diameter_estimate(sys))
+    beyond_trunc = False
+    for q in (1, 7, 1000, 9973, 65537, 10**6):
+        qy = q * points
+        computed = np.max(np.abs(qy - np.rint(qy)), axis=1).tolist()
+        for err_f, ex in zip(computed, exact):
+            err = max(abs(q * e - round(q * e)) for e in ex)
+            gap = abs(Fraction(err_f) - err)
+            assert gap <= q * radius, (q, float(gap))
+            beyond_trunc |= gap > q * trunc
+    assert beyond_trunc
