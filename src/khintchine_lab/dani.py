@@ -118,51 +118,16 @@ def t0_of(psi: ApproxFunction, d: int) -> float:
     return d / (d + 1) * (math.log(x0) - float(psi.log_eval(math.log(x0))))
 
 
-def _r_scalar(psi: ApproxFunction, d: int, t: float) -> float:
-    # G(r) = log psi(e^{t-r}) + t/d + r is strictly increasing in r
-    def g(r):
-        return float(psi.log_eval(t - r)) + t / d + r
-
-    lo, hi = -1.0, 1.0
-    w = 2.0
-    n = 0
-    while g(lo) > 0.0:
-        lo -= w
-        w *= 2.0
-        n += 1
-        if n > _MAX_DOUBLINGS:
-            raise InvalidPsiError(f"no lower bracket for r at t={t:.6g}")
-    w = 2.0
-    n = 0
-    while g(hi) < 0.0:
-        hi += w
-        w *= 2.0
-        n += 1
-        if n > _MAX_DOUBLINGS:
-            raise InvalidPsiError(f"no upper bracket for r at t={t:.6g}")
-    while hi - lo > R_INTERVAL_TOL:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # adjacent floats wider than the tolerance (|r| >= 512)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    r = 0.5 * (lo + hi)
-    residual = math.exp(float(psi.log_eval(t - r))) - math.exp(-t / d - r)
-    if not abs(residual) <= RESIDUAL_TOL:
-        raise InvalidPsiError(f"balance residual {residual:.3g} at t={t:.6g}")
-    return r
-
-
 def _r_lockstep(psi: ApproxFunction, d: int, t: np.ndarray) -> np.ndarray:
-    """``_r_scalar`` on every entry of the 1-d array t in one array loop.
+    """r at every entry of the 1-d array t, by bisection in one array loop.
 
-    Each lane runs the scalar route's float sequence: the same brackets,
-    midpoints and comparisons, and g on an array is the same elementwise
-    arithmetic.  A lane that is done drops out; the others go on.  On
-    failure the error is the one the scalar route raises at the first
-    failing t in input order.
+    G(r) = log psi(e^{t-r}) + t/d + r is strictly increasing in r.  Each
+    lane brackets its root from [-1, 1] by doubling steps, then halves its
+    interval until it is narrower than ``R_INTERVAL_TOL`` or its ends are
+    adjacent floats (|r| >= 512), and checks the balance residual.  Every
+    step is elementwise IEEE arithmetic, so a lane gets the floats it would
+    get alone; a lane that is done drops out and the others go on.  On
+    failure the error names the first failing t in input order.
     """
     t_over_d = t / d
 
@@ -211,8 +176,8 @@ def _r_lockstep(psi: ApproxFunction, d: int, t: np.ndarray) -> np.ndarray:
 def r_from_psi(psi: ApproxFunction, d: int, t):
     """The unique r with psi(e^{t-r}) = e^{-t/d-r}, by bisection.
 
-    A scalar t takes the scalar bisection, an array t the lockstep one; both
-    give the same float for the same t.  For b = 0 this equals
+    A scalar t runs as a one-lane array and gives a float, the same float as
+    at that t in any array.  For b = 0 this equals
     (a - 1/d) t/(1+a) - log(c)/(1+a).
     """
     t_arr = np.asarray(t, dtype=float)
@@ -221,9 +186,8 @@ def r_from_psi(psi: ApproxFunction, d: int, t):
     t_min = t0_of(psi, d) - 1e-9
     if np.any(t_arr < t_min):
         raise ValueError(f"t below domain start {t_min + 1e-9:.6g}")
-    if t_arr.ndim == 0:
-        return _r_scalar(psi, d, float(t_arr))
-    return _r_lockstep(psi, d, t_arr.ravel()).reshape(t_arr.shape)
+    r = _r_lockstep(psi, d, t_arr.ravel())
+    return float(r[0]) if t_arr.ndim == 0 else r.reshape(t_arr.shape)
 
 
 @dataclass(frozen=True)

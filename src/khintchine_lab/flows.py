@@ -134,19 +134,9 @@ def diag_time(kappa: float, d: int) -> float:
 
 
 def diagonal_point(x, t: float) -> GroupElement:
-    """a_t u_x, the diagonal-flow orbit of the point x.
-
-    Built in closed form, row 0 = e^t (1, -x) over the block e^{-t/d} I: the
-    same values as ``diag_element(t, d) @ unipotent_element(x)``.
-    """
+    """a_t u_x, the diagonal-flow orbit of the point x: ``assemble_P(t, I, x)``."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = x.size
-    m = np.diag(np.full(d + 1, math.exp(-t / d)))
-    m[0, 0] = math.exp(t)
-    m[0, 1:] = m[0, 0] * -x
-    if np.max(np.abs(m)) > ENTRY_OVERFLOW:
-        raise TrajectoryOverflowError("matrix entries exceed 1e300")
-    return GroupElement(m)
+    return assemble_P(t, np.eye(x.size), x)
 
 
 def rho_apply(p: GroupElement, beta) -> np.ndarray:
@@ -184,8 +174,10 @@ def assemble_P(t: float, orth, alpha) -> GroupElement:
     d = orth.shape[0]
     m = np.zeros((d + 1, d + 1))
     m[0, 0] = math.exp(t)
-    m[0, 1:] = -math.exp(t) * alpha
+    m[0, 1:] = -m[0, 0] * alpha
     m[1:, 1:] = math.exp(-t / d) * orth
+    if np.max(np.abs(m)) > ENTRY_OVERFLOW:
+        raise TrajectoryOverflowError("matrix entries exceed 1e300")
     return GroupElement(m)
 
 

@@ -196,15 +196,15 @@ def diameter_estimate(sys: IfsSystem) -> float:
 def coding_point(sys: IfsSystem, word: Sequence[int]) -> tuple[np.ndarray, float]:
     """Apply ``phi_{b_1} o ... o phi_{b_n}`` to the base point.
 
-    Returns the point together with the truncation bound
-    ``kappa**n * diameter_estimate``, which dominates the distance to any
-    infinite extension of the word.
+    Returns the point together with a bound on its distance to the exact
+    coding point of any infinite extension of the word: the truncation
+    ``kappa**n * diameter_estimate`` plus the float error ``rounding_bound``.
     """
     w = _validate_word(sys, word)
     p = sys.base_point()
     for s in w[::-1]:
         p = sys.maps[s](p)
-    bound = sys.kappa ** len(w) * diameter_estimate(sys)
+    bound = sys.kappa ** len(w) * diameter_estimate(sys) + rounding_bound(sys)
     return p, bound
 
 
@@ -253,7 +253,8 @@ def points_of_words(sys: IfsSystem, words: np.ndarray) -> np.ndarray:
 
 
 def rounding_bound(sys: IfsSystem) -> float:
-    """Euclidean bound on the float error of ``points_of_words``, any depth.
+    """Euclidean bound on the float error of ``points_of_words`` and
+    ``coding_point``, any depth.
 
     The error is measured against the same word's coding point in exact
     arithmetic on the system's float parameters and base point p0.  With u =

@@ -54,6 +54,13 @@ class ReductionGuardError(RuntimeError):
 # Iteration limits of the reduction loops (module-level so tests can lower them).
 LLL_ITERATION_LIMIT = 10_000
 LAGRANGE_ITERATION_LIMIT = 64
+# Most coefficient vectors brute_force_shortest enumerates; a05's d = 3 box
+# has 31^4, under a million
+BRUTE_FORCE_POINT_LIMIT = 2_000_000
+
+
+class SearchBoxLimitError(RuntimeError):
+    """The brute-force coefficient box holds more points than the limit."""
 
 
 def _canonical(coeffs: tuple) -> tuple:
@@ -226,7 +233,7 @@ _2X2_TABLE = np.array(_2X2_COEFFS, dtype=float)
 def _lagrange_2x2(m00: float, m01: float, m10: float, m11: float) -> tuple[tuple, tuple]:
     """Lagrange-reduce the 2x2 row basis ((m00, m01), (m10, m11)) in plain
     floats; returns the reduced rows (m00, m01, m10, m11) and the integer
-    (u00, u01, u10, u11) with reduced = U @ basis."""
+    rows ((u00, u01), (u10, u11)) of U with reduced = U @ basis."""
     u00, u01, u10, u11 = 1, 0, 0, 1
     for _ in range(LAGRANGE_ITERATION_LIMIT):
         n0 = m00 * m00 + m01 * m01
@@ -239,7 +246,7 @@ def _lagrange_2x2(m00: float, m01: float, m10: float, m11: float) -> tuple[tuple
             raise ValueError("numerically singular basis")
         q = round((m10 * m00 + m11 * m01) / n0)
         if q == 0:
-            return (m00, m01, m10, m11), (u00, u01, u10, u11)
+            return (m00, m01, m10, m11), ((u00, u01), (u10, u11))
         m10 -= q * m00
         m11 -= q * m01
         u10 -= q * u00
@@ -249,18 +256,24 @@ def _lagrange_2x2(m00: float, m01: float, m10: float, m11: float) -> tuple[tuple
     )
 
 
-def _sup_2x2(m00: float, m01: float, m10: float, m11: float) -> tuple[float, tuple]:
+def _sup_2x2(m00: float, m01: float, m10: float, m11: float) -> tuple[float, list]:
     """Smallest sup norm over the candidates of a Lagrange-reduced 2x2 basis,
-    and the first candidate in ``_2X2_COEFFS`` order that attains it."""
-    best = -1.0
-    for a, b in _2X2_COEFFS:
-        v0 = abs(a * m00 + b * m10)
-        v1 = abs(a * m01 + b * m11)
-        sup = v0 if v0 >= v1 else v1
-        if best < 0.0 or sup < best:
-            best = sup
-            coeffs = (a, b)
-    return best, coeffs
+    and every candidate in ``_2X2_COEFFS`` that attains it."""
+    a0, a1 = abs(m00), abs(m01)
+    b0, b1 = abs(m10), abs(m11)
+    p0, p1 = abs(m00 + m10), abs(m01 + m11)
+    n0, n1 = abs(m00 - m10), abs(m01 - m11)
+    sups = (
+        a0 if a0 >= a1 else a1,
+        b0 if b0 >= b1 else b1,
+        p0 if p0 >= p1 else p1,
+        n0 if n0 >= n1 else n1,
+    )
+    best = min(sups)
+    # one minimizer is the common case, and the walkers pay for every step
+    if sups.count(best) == 1:
+        return best, [_2X2_COEFFS[sups.index(best)]]
+    return best, [c for c, s in zip(_2X2_COEFFS, sups) if s == best]
 
 
 def _lagrange_reduce(b: np.ndarray) -> np.ndarray:
@@ -306,16 +319,24 @@ def _reduced_sups(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return b, cand.max(axis=1).min(axis=0)
 
 
+def _reduce(basis: np.ndarray) -> tuple[np.ndarray, list, float, list]:
+    """Reduced form of a row basis, the rows of U with reduced = U @ basis,
+    the sup norm Delta of its shortest vector and every coefficient vector
+    w.r.t. the reduced rows that attains it (one of each +-pair): Lagrange
+    and the candidate scan for 2x2, LLL and enumeration above."""
+    if len(basis) == 2:
+        rows, u = _lagrange_2x2(*basis.ravel().tolist())
+        delta, coeffs = _sup_2x2(*rows)
+        return np.array(rows).reshape(2, 2), u, delta, coeffs
+    reduced, u = lll_reduce(basis)
+    delta, coeffs = _enumerate_sup(reduced)
+    return reduced, u.tolist(), delta, coeffs
+
+
 def _reduced_sup(basis: np.ndarray) -> tuple[np.ndarray, float]:
     """Reduced form of a row basis and the sup norm Delta of its shortest
-    vector: Lagrange and the candidate scan for 2x2, LLL and enumeration
-    above."""
-    if len(basis) == 2:
-        rows, _ = _lagrange_2x2(*basis.ravel().tolist())
-        delta, _ = _sup_2x2(*rows)
-        return np.array(rows).reshape(2, 2), delta
-    reduced, _ = lll_reduce(basis)
-    delta, _ = _enumerate_sup(reduced)
+    vector."""
+    reduced, _, delta, _ = _reduce(basis)
     return reduced, delta
 
 
@@ -323,8 +344,8 @@ def shortest_of_basis(basis: np.ndarray) -> tuple[float, np.ndarray]:
     """Certified sup-norm shortest vector of the lattice spanned by the rows.
 
     Returns (delta, witness) where witness are integer coefficients w.r.t.
-    the given rows, sign-normalized (first nonzero positive) and tie-broken
-    lexicographically.
+    the given rows: of all minimizers, sign-normalized (first nonzero
+    positive), the lexicographically least.
     """
     b = np.asarray(basis, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
@@ -334,14 +355,8 @@ def shortest_of_basis(basis: np.ndarray) -> tuple[float, np.ndarray]:
         raise ValueError(f"dimension {k} above certified range {DIMENSION_LIMIT}")
     if not np.all(np.isfinite(b)):
         raise ValueError("basis has non-finite entries")
-    if k == 2:
-        rows, (u00, u01, u10, u11) = _lagrange_2x2(*b.ravel().tolist())
-        delta, (a, c) = _sup_2x2(*rows)
-        witness = _canonical((a * u00 + c * u10, a * u01 + c * u11))
-        return delta, np.array(witness, dtype=np.int64)
-    reduced, u = lll_reduce(b)
-    delta, coeff_list = _enumerate_sup(reduced)
-    columns = list(zip(*u.tolist()))
+    _, u, delta, coeff_list = _reduce(b)
+    columns = list(zip(*u))
     witnesses = [
         _canonical(tuple(sum(map(mul, c, col)) for col in columns)) for c in coeff_list
     ]
@@ -377,11 +392,18 @@ def brute_force_shortest(
     Deliberately independent of the reduction-based path so the two can be
     compared.  By default the box is ``certified_box(basis)``, which holds
     every minimizer; an explicit ``coeff_bound`` searches |c_i| <= bound and
-    is only valid when some minimizer lies in that box.
+    is only valid when some minimizer lies in that box.  A box of more than
+    ``BRUTE_FORCE_POINT_LIMIT`` points raises ``SearchBoxLimitError`` before
+    anything is allocated.
     """
     b = np.asarray(basis, dtype=float)
     k = b.shape[0]
     bounds = certified_box(b) if coeff_bound is None else (int(coeff_bound),) * k
+    points = math.prod(2 * m + 1 for m in bounds)
+    if points > BRUTE_FORCE_POINT_LIMIT:
+        raise SearchBoxLimitError(
+            f"search box has {points} points, limit is {BRUTE_FORCE_POINT_LIMIT}"
+        )
     grid = _brute_grid(bounds)
     best = math.inf
     cands: list[tuple] = []

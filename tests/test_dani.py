@@ -100,8 +100,47 @@ def test_r_vectorized_matches_scalar():
     rs = dani.r_from_psi(psi, 1, ts)
     assert rs.shape == ts.shape
     for t, r in zip(ts, rs):
-        assert r == dani.r_from_psi(psi, 1, float(t))
+        scalar = dani.r_from_psi(psi, 1, float(t))
+        assert type(scalar) is float and scalar == r
     assert dani.r_from_psi(psi, 1, np.empty((0, 3))).shape == (0, 3)
+
+
+def _r_scalar(psi, d, t):
+    # the scalar reference of the lockstep bisection, one t at a time
+    # G(r) = log psi(e^{t-r}) + t/d + r is strictly increasing in r
+    def g(r):
+        return float(psi.log_eval(t - r)) + t / d + r
+
+    lo, hi = -1.0, 1.0
+    w = 2.0
+    n = 0
+    while g(lo) > 0.0:
+        lo -= w
+        w *= 2.0
+        n += 1
+        if n > dani._MAX_DOUBLINGS:
+            raise InvalidPsiError(f"no lower bracket for r at t={t:.6g}")
+    w = 2.0
+    n = 0
+    while g(hi) < 0.0:
+        hi += w
+        w *= 2.0
+        n += 1
+        if n > dani._MAX_DOUBLINGS:
+            raise InvalidPsiError(f"no upper bracket for r at t={t:.6g}")
+    while hi - lo > dani.R_INTERVAL_TOL:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # adjacent floats wider than the tolerance (|r| >= 512)
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    r = 0.5 * (lo + hi)
+    residual = math.exp(float(psi.log_eval(t - r))) - math.exp(-t / d - r)
+    if not abs(residual) <= dani.RESIDUAL_TOL:
+        raise InvalidPsiError(f"balance residual {residual:.3g} at t={t:.6g}")
+    return r
 
 
 # (c, a, b, x0, d): b = 0 and b > 0, x0 = 1 and 5, d = 1..3
@@ -120,7 +159,7 @@ def test_lockstep_r_is_the_scalar_r_bit_for_bit(c, a, b, x0, d):
     t0 = dani.t0_of(psi, d)
     ts = np.concatenate([[t0, t0 + 1e-6], np.linspace(t0, t0 + 40.0, 301)])
     lockstep = dani.r_from_psi(psi, d, ts)
-    scalar = np.array([dani._r_scalar(psi, d, t) for t in ts.tolist()])
+    scalar = np.array([_r_scalar(psi, d, t) for t in ts.tolist()])
     assert np.array_equal(lockstep.view(np.int64), scalar.view(np.int64))
 
 
@@ -150,7 +189,7 @@ def test_nan_residual_fails_both_routes():
     psi = ApproxFunction.power_log(1.0, 1.5)
     object.__setattr__(psi, "c", math.nan)  # past the constructor's check
     with pytest.raises(InvalidPsiError, match="residual nan"):
-        dani._r_scalar(psi, 1, 2.0)
+        _r_scalar(psi, 1, 2.0)
     with pytest.raises(InvalidPsiError, match="residual nan"):
         dani._r_lockstep(psi, 1, np.array([2.0, 3.0]))
 

@@ -66,6 +66,16 @@ def test_diagonal_point_is_the_product_a_t_u_x():
             assert np.array_equal(closed, (diag_element(t, d) @ unipotent_element(x)).matrix)
 
 
+def test_entries_past_1e300_raise():
+    # e^700 is about 1e304: assemble_P refuses it, also when diagonal_point
+    # calls it
+    flows.diagonal_point([0.5], 690.0)
+    with pytest.raises(flows.TrajectoryOverflowError):
+        flows.diagonal_point([0.5], 700.0)
+    with pytest.raises(flows.TrajectoryOverflowError):
+        flows.assemble_P(700.0, np.eye(2), [0.0, 0.0])
+
+
 def test_rho_unipotent_translates():
     u = unipotent_element([1.0, 2.0])
     out = flows.rho_apply(u, np.zeros(2))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from khintchine_lab import flows, lattices
@@ -127,14 +127,6 @@ def test_rational_points_climb_the_cusp():
     assert delta == pytest.approx(4.0 * math.exp(-4.0), rel=1e-10)
 
 
-# largest coefficient box the brute-force oracle is asked to search
-BOX_POINTS_LIMIT = 2_000_000
-
-
-def box_points(box):
-    return math.prod(2 * m + 1 for m in box)
-
-
 @given(st.integers(0, 2**32 - 1))
 @example(245)  # minimizer (26, -5) lies outside a fixed |c| <= 25 box
 @settings(max_examples=40, deadline=None)
@@ -142,9 +134,11 @@ def test_two_by_two_vs_enumeration(seed):
     rng = np.random.default_rng(seed)
     basis = rng.normal(size=(2, 2)) * math.exp(rng.normal())
     assume(abs(np.linalg.det(basis)) >= 1e-6)
-    assume(box_points(lattices.certified_box(basis)) <= BOX_POINTS_LIMIT)
+    try:
+        d2, _ = lattices.brute_force_shortest(basis)
+    except lattices.SearchBoxLimitError:
+        reject()
     d1, _ = lattices.shortest_of_basis(basis)
-    d2, _ = lattices.brute_force_shortest(basis)
     assert d1 == pytest.approx(d2, rel=1e-9)
 
 
@@ -157,12 +151,51 @@ def test_certified_vs_brute_force_at_k3_k4():
         k = int(rng.integers(3, 5))
         g = flows.diagonal_point(rng.random(k - 1), rng.uniform(0.0, 3.0))
         basis = random_unimodular(rng, k, shears=3).astype(float) @ lattices.dual_basis(g)
-        if box_points(lattices.certified_box(basis)) > BOX_POINTS_LIMIT:
+        try:
+            brute, _ = lattices.brute_force_shortest(basis)
+        except lattices.SearchBoxLimitError:
             continue
         delta, _ = lattices.shortest_of_basis(basis)
-        brute, _ = lattices.brute_force_shortest(basis)
         assert delta == pytest.approx(brute, rel=1e-12)
         checked[k] += 1
+
+
+# bases with several minimizers: the identity, a golden-ratio d = 1 basis and
+# the shears of the identity by x in its first row
+GOLDEN_BASIS = np.array([[0.78924, 0.55180], [0.0, 1.26705]])
+TIED_BASES = [np.eye(k) for k in (2, 3, 4)] + [GOLDEN_BASIS] + [
+    np.vstack([[1.0] + [x] * (k - 1), np.eye(k)[1:]]) for k in (2, 3, 4) for x in (0.5, 2.5, -1.5)
+]
+
+
+@pytest.mark.parametrize("basis", TIED_BASES, ids=lambda b: str(b.tolist()))
+def test_tied_witness_is_the_oracle_witness(basis):
+    # every k keeps the least sign-normalized minimizer, as the oracle does
+    delta, witness = lattices.shortest_of_basis(basis)
+    brute, brute_witness = lattices.brute_force_shortest(basis)
+    assert delta == brute
+    assert witness.tolist() == brute_witness.tolist()
+
+
+def test_tie_rule_on_pinned_bases():
+    assert lattices.shortest_of_basis(np.eye(2))[1].tolist() == [0, 1]
+    assert lattices.shortest_of_basis(np.eye(4))[1].tolist() == [0, 0, 0, 1]
+    assert lattices.shortest_of_basis(GOLDEN_BASIS)[1].tolist() == [1, -1]
+
+
+def test_brute_force_refuses_boxes_past_the_limit(monkeypatch):
+    # the default boxes of the golden-ratio d = 1 basis at t = 6 (over 10^10
+    # points) and of a d = 3 basis at t = 4 (over 4 * 10^7): both are refused
+    # before any grid is built
+    def no_grid(bounds):
+        raise AssertionError("grid allocated")
+
+    monkeypatch.setattr(lattices, "_brute_grid", no_grid)
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    for x, t in (([golden], 6.0), (np.random.default_rng(0).random(3), 4.0)):
+        basis = lattices.dual_basis(flows.diagonal_point(x, t))
+        with pytest.raises(lattices.SearchBoxLimitError, match="limit is 2000000"):
+            lattices.brute_force_shortest(basis)
 
 
 def _plain_sup(coeffs, rows) -> float:

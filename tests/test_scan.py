@@ -395,3 +395,19 @@ def test_survey_guard_covers_float_points(system):
             assert gap <= q * radius, (q, float(gap))
             beyond_trunc |= gap > q * trunc
     assert beyond_trunc
+
+
+@pytest.mark.parametrize("system", ["cantor:1", "cantor:2", "cantor:3", "rotated"])
+def test_coding_point_bound_covers_float_error(system):
+    # at depth 66 the truncation term is below 1e-26 and the float error
+    # dominates: the bound covers the exact coding point of the word and of
+    # a 30 symbols longer extension
+    sys = _rotated_system() if system == "rotated" else ifs.cantor_product(int(system[-1]))
+    words = ifs.sample_words(sys, 96, 12, np.random.default_rng(37))
+    extended = _exact_coding_points(sys, words)
+    truncated = _exact_coding_points(sys, words[:, :66])
+    for word, ext, trunc in zip(words, extended, truncated):
+        point, bound = ifs.coding_point(sys, word[:66])
+        for exact in (ext, trunc):
+            dist2 = sum((Fraction(v) - e) ** 2 for v, e in zip(point.tolist(), exact))
+            assert dist2 <= Fraction(bound) ** 2
