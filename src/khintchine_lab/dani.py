@@ -24,6 +24,8 @@ R_INTERVAL_TOL = 1e-13
 RESIDUAL_TOL = 1e-12
 BORDERLINE_TOL = 1e-12
 _MAX_DOUBLINGS = 200
+# Halvings of psi_from_r's t-interval decided per array call of r
+_T_LEVELS = 6
 
 # The 20-point Gauss-Legendre rule on [-1, 1]: the positive roots of P_20 and
 # their weights, each rounded to nearest from a 60-digit mpmath Newton
@@ -231,7 +233,7 @@ def psi_from_r(rate: RateFunction, x: float) -> float:
     t0 = rate.t_start
 
     def g(t):
-        return t - float(rate(t)) - log_x
+        return t - rate(t) - log_x
 
     if g(t0) > 1e-9:
         raise ValueError(f"x={x:.6g} below the domain edge e^(t0 - r(t0))")
@@ -244,14 +246,25 @@ def psi_from_r(rate: RateFunction, x: float) -> float:
         n += 1
         if n > _MAX_DOUBLINGS:
             raise InvalidPsiError("no upper bracket for t")
-    while hi - lo > R_INTERVAL_TOL:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # adjacent floats wider than the tolerance (t >= 512)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    stuck = False
+    while hi - lo > R_INTERVAL_TOL and not stuck:
+        # the midpoints the next _T_LEVELS halvings can reach, heap-ordered
+        # (node i halves into 2i + 1 and 2i + 2), go to r in one array call
+        los, his, mids = [lo], [hi], []
+        for i in range(2**_T_LEVELS - 1):
+            mids.append(0.5 * (los[i] + his[i]))
+            los += [los[i], mids[i]]
+            his += [mids[i], his[i]]
+        below = (g(np.array(mids)) < 0.0).tolist()
+        i = 0
+        while i < len(mids) and hi - lo > R_INTERVAL_TOL:
+            stuck = not lo < mids[i] < hi
+            if stuck:
+                break  # adjacent floats wider than the tolerance (t >= 512)
+            if below[i]:
+                lo, i = mids[i], 2 * i + 2
+            else:
+                hi, i = mids[i], 2 * i + 1
     t = 0.5 * (lo + hi)
     return math.exp(-t / rate.d - float(rate(t)))
 

@@ -270,7 +270,8 @@ def _sup_2x2(m00: float, m01: float, m10: float, m11: float) -> tuple[float, lis
         n0 if n0 >= n1 else n1,
     )
     best = min(sups)
-    # one minimizer is the common case, and the walkers pay for every step
+    # a walk's steps mostly have one minimizer: taking it by index skips the
+    # comprehension, about 9% of a diagonal_heights step at d = 1
     if sups.count(best) == 1:
         return best, [_2X2_COEFFS[sups.index(best)]]
     return best, [c for c, s in zip(_2X2_COEFFS, sups) if s == best]
@@ -319,15 +320,16 @@ def _reduced_sups(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return b, cand.max(axis=1).min(axis=0)
 
 
-def _reduce(basis: np.ndarray) -> tuple[np.ndarray, list, float, list]:
-    """Reduced form of a row basis, the rows of U with reduced = U @ basis,
-    the sup norm Delta of its shortest vector and every coefficient vector
-    w.r.t. the reduced rows that attains it (one of each +-pair): Lagrange
-    and the candidate scan for 2x2, LLL and enumeration above."""
+def _reduce(basis: np.ndarray) -> tuple:
+    """Reduced form of a row basis (its entries, row by row, for 2x2), the
+    rows of U with reduced = U @ basis, the sup norm Delta of its shortest
+    vector and every coefficient vector w.r.t. the reduced rows that attains
+    it (one of each +-pair): Lagrange and the candidate scan for 2x2, LLL and
+    enumeration above."""
     if len(basis) == 2:
         rows, u = _lagrange_2x2(*basis.ravel().tolist())
         delta, coeffs = _sup_2x2(*rows)
-        return np.array(rows).reshape(2, 2), u, delta, coeffs
+        return rows, u, delta, coeffs
     reduced, u = lll_reduce(basis)
     delta, coeffs = _enumerate_sup(reduced)
     return reduced, u.tolist(), delta, coeffs
@@ -337,7 +339,7 @@ def _reduced_sup(basis: np.ndarray) -> tuple[np.ndarray, float]:
     """Reduced form of a row basis and the sup norm Delta of its shortest
     vector."""
     reduced, _, delta, _ = _reduce(basis)
-    return reduced, delta
+    return np.asarray(reduced).reshape(basis.shape), delta
 
 
 def shortest_of_basis(basis: np.ndarray) -> tuple[float, np.ndarray]:

@@ -222,6 +222,37 @@ def test_psi_from_r_beyond_float_resolution_of_the_tolerance():
     assert back == pytest.approx(psi(1e200), rel=1e-8)
 
 
+def _t_halving_reference(rate, x):
+    # psi_from_r's t-bisection one halving, and one r call, at a time
+    log_x = math.log(x)
+    lo, hi = rate.t_start, rate.t_start + 1.0
+    w = 2.0
+    while hi - float(rate(hi)) - log_x < 0.0:
+        hi += w
+        w *= 2.0
+    while hi - lo > dani.R_INTERVAL_TOL:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if mid - float(rate(mid)) - log_x < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    t = 0.5 * (lo + hi)
+    return math.exp(-t / rate.d - float(rate(t)))
+
+
+@pytest.mark.parametrize("levels", [2, dani._T_LEVELS])
+def test_psi_from_r_halves_t_as_one_halving_at_a_time(monkeypatch, levels):
+    # the heap of midpoints decided per r call gives the floats of halving
+    # one step at a time, also where the bisection stops on adjacent floats
+    monkeypatch.setattr(dani, "_T_LEVELS", levels)
+    for c, a, b, d in [(1.0, 1.5, 0.0, 1), (0.8, 1.2, 1.5, 2)]:
+        rate = RateFunction(ApproxFunction.power_log(c, a, b), d)
+        for x in [3.0, 1e8, 1e200]:
+            assert dani.psi_from_r(rate, x) == _t_halving_reference(rate, x)
+
+
 def test_psi_from_r_rejects_x_below_edge():
     psi = ApproxFunction.power_log(1.0, 1.5, x0=10.0)
     rate = RateFunction(psi, 1)
