@@ -355,7 +355,8 @@ def shortest_of_basis(basis: np.ndarray) -> tuple[float, np.ndarray]:
     k = b.shape[0]
     if k > DIMENSION_LIMIT:
         raise ValueError(f"dimension {k} above certified range {DIMENSION_LIMIT}")
-    if not np.all(np.isfinite(b)):
+    # the method, not np.all: a third of the cost of a 2x2 call
+    if not np.isfinite(b).all():
         raise ValueError("basis has non-finite entries")
     _, u, delta, coeff_list = _reduce(b)
     columns = list(zip(*u))
