@@ -115,7 +115,10 @@ class ApproxFunction:
 
 
 def t0_of(psi: ApproxFunction, d: int) -> float:
-    # boundary balance: t - r = log x0 and psi(x0) = e^{-t/d - r}
+    # boundary balance: t - r = log x0 and psi(x0) = e^{-t/d - r}; every r
+    # route starts here, so d is checked here
+    if not d >= 1:
+        raise ValueError(f"dimension d must be at least 1, got {d}")
     x0 = psi.domain_start
     return d / (d + 1) * (math.log(x0) - float(psi.log_eval(math.log(x0))))
 
@@ -282,18 +285,22 @@ def _power_verdict(power: float, log_power: float) -> str:
     return "converges" if power < -1.0 else "diverges"
 
 
+def _check_exponent(name: str, value: float) -> None:
+    # nan passes a plain "value <= 0" test and would classify vacuously
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def classify_khintchine_series(psi: ApproxFunction, d: int, alpha: float) -> str:
     """Convergence of sum x^(alpha/d - 1) psi(x)^alpha: "converges" or "diverges"."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    _check_exponent("alpha", alpha)
     power = alpha / d - 1.0 - psi.a * alpha
     return _power_verdict(power, psi.b * alpha)
 
 
 def classify_rate_series(rate: RateFunction, gamma: float) -> str:
     """Convergence of sum_t exp(-gamma r(t)): "converges" or "diverges"."""
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    _check_exponent("gamma", gamma)
     s = rate.slope
     if abs(s) <= BORDERLINE_TOL:
         return "converges" if gamma * rate.log_coeff > 1.0 else "diverges"
@@ -346,8 +353,7 @@ def equivalence_check(
     ``_exp_partials``; r at every node of every truncation is one lockstep
     ``rate`` call.
     """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    _check_exponent("alpha", alpha)
     rate = RateFunction(psi, d)
     gamma = alpha * (d + 1) / d
     t0 = rate.t_start

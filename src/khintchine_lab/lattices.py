@@ -397,9 +397,20 @@ def brute_force_shortest(
     every minimizer; an explicit ``coeff_bound`` searches |c_i| <= bound and
     is only valid when some minimizer lies in that box.  A box of more than
     ``BRUTE_FORCE_POINT_LIMIT`` points raises ``SearchBoxLimitError`` before
-    anything is allocated.
+    anything is allocated; a box with no nonzero point, or a basis with a
+    non-finite entry, raises ``ValueError``.
+
+    Only half the box is searched: the rows after the zero row of the
+    lexicographic grid, exactly the vectors whose first nonzero coefficient
+    is positive (c and -c have the same float sup norm).  Each sup norm is
+    folded one basis column at a time in elementwise IEEE arithmetic, rows
+    accumulated from k - 1 down to 0, with no BLAS product.  The first
+    minimum in grid order is the lexicographically least sign-normalized
+    minimizer, the witness rule of ``shortest_of_basis``.
     """
     b = np.asarray(basis, dtype=float)
+    if not np.isfinite(b).all():
+        raise ValueError("basis has non-finite entries")
     k = b.shape[0]
     bounds = certified_box(b) if coeff_bound is None else (int(coeff_bound),) * k
     points = math.prod(2 * m + 1 for m in bounds)
@@ -407,22 +418,18 @@ def brute_force_shortest(
         raise SearchBoxLimitError(
             f"search box has {points} points, limit is {BRUTE_FORCE_POINT_LIMIT}"
         )
-    grid = _brute_grid(bounds)
-    best = math.inf
-    cands: list[tuple] = []
-    chunk = 1 << 20
-    for lo in range(0, grid.shape[0], chunk):
-        c = grid[lo : lo + chunk].astype(float)
-        sup = np.max(np.abs(c @ b), axis=1)
-        sup[np.all(c == 0.0, axis=1)] = math.inf
-        m = float(sup.min())
-        if m < best:
-            best = m
-            cands = []
-        if m == best:
-            rows = grid[lo : lo + chunk][sup == best]
-            cands.extend(_canonical(tuple(int(v) for v in r)) for r in rows)
-    return best, np.array(min(cands), dtype=np.int64)
+    if points == 1:
+        raise ValueError(f"search box {bounds} has no nonzero point")
+    half = _brute_grid(bounds)[points // 2 + 1 :]
+    coeffs = half.T.astype(float, order="C")
+    sup = np.zeros(len(half))
+    for col in b.T.tolist():
+        v = coeffs[k - 1] * col[k - 1]
+        for i in range(k - 2, -1, -1):
+            v += coeffs[i] * col[i]
+        np.maximum(sup, np.abs(v), out=sup)
+    best = int(np.argmin(sup))
+    return float(sup[best]), half[best].astype(np.int64)
 
 
 def dual_basis(point) -> np.ndarray:

@@ -91,7 +91,10 @@ def parse_point(text: str):
             floats[i] = (math.sqrt(5.0) - 1.0) / 2.0
             exact = None
         else:
-            frac = Fraction(p)
+            try:
+                frac = Fraction(p)
+            except ZeroDivisionError as exc:
+                raise ValueError(f"point component {p!r} has a zero denominator") from exc
             floats[i] = float(frac)
             if exact is not None:
                 exact.append(frac)
@@ -184,6 +187,9 @@ def dani_cross_check(
     every time with l >= r + tol must yield a witness with 1 <= q <= e^t + 1
     and ||q x - p||_inf < psi(q).
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        # a nan tol passes every height test, an infinite one checks no crossing
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size != d:
         raise ValueError("x has wrong dimension")

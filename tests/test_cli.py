@@ -189,12 +189,34 @@ def test_main_non_finite_level_exits_1(tmp_path, capsys, level):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--psi-x0", "--psi-a", "--psi-c"])
+@pytest.mark.parametrize("flag", ["--psi-x0", "--psi-a", "--psi-c", "--alpha"])
 def test_main_dani_non_finite_psi_exits_1(tmp_path, capsys, flag):
-    # a nan psi parameter makes every balance residual nan: the run must fail
-    argv = ["dani", flag, "nan", "--alpha", "0.5", "--out", str(tmp_path)]
+    # a nan psi parameter makes every balance residual nan, and a nan alpha
+    # passes "alpha <= 0": the run must fail
+    argv = ["dani", "--alpha", "0.5", flag, "nan", "--out", str(tmp_path)]
     assert cli.main(argv) == 1
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dani", "--alpha", "inf"], "alpha must be finite and positive"),
+        (["dani", "--d", "0"], "d must be at least 1"),
+        (["dani", "--d", "-1"], "d must be at least 1"),
+        (["approx", "--x", "1/2", "--tol", "nan"], "tol must be finite and positive"),
+        (["approx", "--x", "1/2", "--tol", "inf"], "tol must be finite and positive"),
+        (["approx", "--x", "1/2", "--tol", "-1"], "tol must be finite and positive"),
+        (["approx", "--x", "1/0"], "zero denominator"),
+    ],
+    ids=" ".join,
+)
+def test_main_bad_argument_exits_1(tmp_path, capsys, argv, message):
+    # each of these either passed vacuously or ended in a traceback
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_main_excursions_without_records_exits_1(tmp_path, capsys):

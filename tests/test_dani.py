@@ -292,16 +292,18 @@ def test_series_classification_power_laws():
     assert verdict(1.0, 0.5) == "diverges"
     assert verdict(1.0, 1.0) == "diverges"
     assert verdict(1.0, 1.0, b=2.0) == "converges"
-    with pytest.raises(ValueError):
-        dani.classify_khintchine_series(ApproxFunction.power_log(1.0, 1.0), 1, 0.0)
+    for bad in (0.0, math.nan, math.inf):  # nan passes "alpha <= 0"
+        with pytest.raises(ValueError, match="alpha must be finite and positive"):
+            dani.classify_khintchine_series(ApproxFunction.power_log(1.0, 1.0), 1, bad)
 
 
 def test_rate_series_matches_slope_sign():
     for a, want in [(2.0, "converges"), (0.4, "diverges")]:
         rate = RateFunction(ApproxFunction.power_log(1.0, a), 1)
         assert dani.classify_rate_series(rate, 2.0) == want
-    with pytest.raises(ValueError):
-        dani.classify_rate_series(rate, -1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma must be finite and positive"):
+            dani.classify_rate_series(rate, bad)
 
 
 def test_equivalence_grid_agreement():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -205,6 +206,46 @@ def _plain_sup(coeffs, rows) -> float:
     for c, row in zip(reversed(coeffs), reversed(rows)):
         vec = [a + c * y for a, y in zip(vec, row)]
     return max(map(abs, vec))
+
+
+def _sign_normalized(c: tuple) -> tuple:
+    lead = next(v for v in c if v)
+    return c if lead > 0 else tuple(-v for v in c)
+
+
+def _full_box_shortest(basis, bounds) -> tuple[float, tuple]:
+    """The reference oracle: every nonzero vector of the full box, its sup
+    norm by ``_plain_sup``, and of all minimizers the least sign-normalized."""
+    rows = basis.tolist()
+    box = itertools.product(*(range(-m, m + 1) for m in bounds))
+    return min((_plain_sup(c, rows), _sign_normalized(c)) for c in box if any(c))
+
+
+def test_brute_force_is_the_full_box_plain_float_loop():
+    # the half-box fold equals the reference, delta and witness bit for bit,
+    # on the tied bases and on certified boxes drawn like the k3/k4 sweep
+    # (boxes of at most 20,000 points keep the reference loop quick)
+    rng = np.random.default_rng(405)
+    bases = list(TIED_BASES)
+    drawn = {2: 0, 3: 0, 4: 0}
+    while min(drawn.values()) < 20:
+        k = int(rng.integers(2, 5))
+        g = flows.diagonal_point(rng.random(k - 1), rng.uniform(0.0, 3.0))
+        basis = random_unimodular(rng, k, shears=3).astype(float) @ lattices.dual_basis(g)
+        if math.prod(2 * m + 1 for m in lattices.certified_box(basis)) <= 20_000:
+            bases.append(basis)
+            drawn[k] += 1
+    for basis in bases:
+        delta, witness = lattices.brute_force_shortest(basis)
+        reference = _full_box_shortest(basis, lattices.certified_box(basis))
+        assert (delta, tuple(witness.tolist())) == reference
+
+
+def test_brute_force_refuses_empty_boxes_and_non_finite_bases():
+    with pytest.raises(ValueError, match="no nonzero point"):
+        lattices.brute_force_shortest(np.eye(2), coeff_bound=0)
+    with pytest.raises(ValueError, match="non-finite"):
+        lattices.brute_force_shortest(np.array([[1.0, math.nan], [0.0, 1.0]]), coeff_bound=3)
 
 
 def test_enumerated_sup_is_the_plain_float_sup():
