@@ -91,10 +91,7 @@ def parse_point(text: str):
             floats[i] = (math.sqrt(5.0) - 1.0) / 2.0
             exact = None
         else:
-            try:
-                frac = Fraction(p)
-            except ZeroDivisionError as exc:
-                raise ValueError(f"point component {p!r} has a zero denominator") from exc
+            frac = Fraction(p)
             floats[i] = float(frac)
             if exact is not None:
                 exact.append(frac)
