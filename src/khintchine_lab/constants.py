@@ -274,6 +274,11 @@ def alpha_estimate(
         raise ValueError("need 1 <= l <= d")
     if search_budget < 1 or sample_count < 1:
         raise ValueError("search_budget and sample_count must be positive")
+    for n in n_range:
+        # from n = 340 on, epsilon^2 underflows: subspace_mass would count no
+        # point because of the arithmetic, not the geometry
+        if (3.0**-n) ** 2 == 0.0:
+            raise ValueError(f"n = {n} is too large: epsilon^2 = 3^(-2n) underflows to 0.0")
     rng = np.random.default_rng(seed)
     pts = sample_fractal(sys, sample_count, seed=int(rng.integers(2**32)))
     # column-major copy, so subspace_mass reads each coordinate contiguously
@@ -288,10 +293,7 @@ def alpha_estimate(
             nonlocal budget, best
             if budget <= 0:
                 return
-            try:
-                q = SubspaceQuery(rows, np.asarray(off, dtype=float), epsilon)
-            except ValueError:
-                return
+            q = SubspaceQuery(rows, np.asarray(off, dtype=float), epsilon)
             budget -= 1
             m = subspace_mass(q, pts_by_column)
             if best is None or m > best[0]:

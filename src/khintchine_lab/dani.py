@@ -24,7 +24,7 @@ R_INTERVAL_TOL = 1e-13
 RESIDUAL_TOL = 1e-12
 BORDERLINE_TOL = 1e-12
 _MAX_DOUBLINGS = 200
-# Halvings of psi_from_r's t-interval decided per array call of r
+# psi_from_r cuts its t-interval into 2**_T_LEVELS cells per array call of r
 _T_LEVELS = 6
 
 # The 20-point Gauss-Legendre rule on [-1, 1]: the positive roots of P_20 and
@@ -53,7 +53,8 @@ def _libm(fn, values: np.ndarray) -> np.ndarray:
 
 
 class InvalidPsiError(ValueError):
-    """Bisection could not bracket a root; psi is not usably monotone."""
+    """A root of the balance failed its residual check or could not be
+    bracketed; psi is not usably monotone."""
 
 
 @dataclass(frozen=True)
@@ -126,39 +127,27 @@ def t0_of(psi: ApproxFunction, d: int) -> float:
 def _r_lockstep(psi: ApproxFunction, d: int, t: np.ndarray) -> np.ndarray:
     """r at every entry of the 1-d array t, by bisection in one array loop.
 
-    G(r) = log psi(e^{t-r}) + t/d + r is strictly increasing in r.  Each
-    lane brackets its root from [-1, 1] by doubling steps, then halves its
-    interval until it is narrower than ``R_INTERVAL_TOL`` or its ends are
-    adjacent floats (|r| >= 512), and checks the balance residual.  Every
-    step is elementwise IEEE arithmetic, so a lane gets the floats it would
-    get alone; a lane that is done drops out and the others go on.  On
-    failure the error names the first failing t in input order.
+    G(r) = log psi(e^{t-r}) + t/d + r has G' = 1 + m >= 1, m = -d log psi /
+    d log x >= 0, so the root lies between 0 and -G(0).  Each lane brackets
+    it from one evaluation of G(0), widened on each side by 1 + 2^-40 |G(0)|
+    for the rounding of G(0) (past |G(0)| = 2^53 a slack of 1 alone would be
+    rounded away), then halves its interval until it is narrower than
+    ``R_INTERVAL_TOL`` or its ends are adjacent floats (|r| >= 512), and
+    checks the balance residual.  Every step is elementwise IEEE arithmetic
+    on the lane's own t, so a lane gets the floats it would get alone; a
+    lane that is done drops out and the others go on.  On failure the error
+    names the first failing t in input order.
     """
     t_over_d = t / d
 
     def g(lanes, r):
         return psi.log_eval(t[lanes] - r) + t_over_d[lanes] + r
 
-    errors = {}
-    lo = np.full(t.size, -1.0)
-    hi = np.full(t.size, 1.0)
-    lanes = np.arange(t.size)
-    # lo steps down while g(lo) > 0, hi steps up while g(hi) < 0
-    for edge, side, step in ((lo, "lower", -1.0), (hi, "upper", 1.0)):
-        active = lanes
-        w = 2.0  # every active lane has doubled the same number of times
-        n = 0
-        while active.size:
-            active = active[step * g(active, edge[active]) < 0.0]
-            edge[active] += step * w
-            w *= 2.0
-            n += 1
-            if n > _MAX_DOUBLINGS:
-                for i in active.tolist():
-                    errors[i] = f"no {side} bracket for r at t={t[i]:.6g}"
-                lanes = np.setdiff1d(lanes, active)
-                break
-    active = lanes[hi[lanes] - lo[lanes] > R_INTERVAL_TOL]
+    g0 = psi.log_eval(t) + t_over_d
+    slack = 1.0 + 2.0**-40 * np.abs(g0)
+    lo = np.minimum(-g0, 0.0) - slack
+    hi = np.maximum(-g0, 0.0) + slack
+    active = np.flatnonzero(hi - lo > R_INTERVAL_TOL)
     while active.size:
         mid = 0.5 * (lo[active] + hi[active])
         inside = (lo[active] < mid) & (mid < hi[active])
@@ -168,13 +157,13 @@ def _r_lockstep(psi: ApproxFunction, d: int, t: np.ndarray) -> np.ndarray:
         hi[active[~below]] = mid[~below]
         active = active[hi[active] - lo[active] > R_INTERVAL_TOL]
     r = 0.5 * (lo + hi)
-    log_psi = psi.log_eval(t[lanes] - r[lanes])
-    for i, ti, ri, lp in zip(lanes.tolist(), t[lanes].tolist(), r[lanes].tolist(), log_psi.tolist()):
-        residual = math.exp(lp) - math.exp(-ti / d - ri)
+    for ti, ri, lp in zip(t.tolist(), r.tolist(), psi.log_eval(t - r).tolist()):
+        try:
+            residual = math.exp(lp) - math.exp(-ti / d - ri)
+        except OverflowError:  # e^709 is the largest float: no balance here
+            residual = math.inf
         if not abs(residual) <= RESIDUAL_TOL:
-            errors[i] = f"balance residual {residual:.3g} at t={ti:.6g}"
-    if errors:
-        raise InvalidPsiError(errors[min(errors)])
+            raise InvalidPsiError(f"balance residual {residual:.3g} at t={ti:.6g}")
     return r
 
 
@@ -231,7 +220,14 @@ class RateFunction:
 
 def psi_from_r(rate: RateFunction, x: float) -> float:
     """psi(x) = e^{-t/d - r(t)} at the unique t with e^{t - r(t)} = x,
-    d = rate.d."""
+    d = rate.d.
+
+    t - r(t) - log x is strictly increasing in t.  Its root is bracketed by
+    doubling steps up from t0; each round then sends the 2^``_T_LEVELS`` - 1
+    evenly spaced interior points of [lo, hi] to r in one array call and
+    keeps the cell where the sign changes, until the cell is narrower than
+    ``R_INTERVAL_TOL`` or its ends are adjacent floats (t >= 512).
+    """
     log_x = math.log(x)
     t0 = rate.t_start
 
@@ -249,25 +245,12 @@ def psi_from_r(rate: RateFunction, x: float) -> float:
         n += 1
         if n > _MAX_DOUBLINGS:
             raise InvalidPsiError("no upper bracket for t")
-    stuck = False
-    while hi - lo > R_INTERVAL_TOL and not stuck:
-        # the midpoints the next _T_LEVELS halvings can reach, heap-ordered
-        # (node i halves into 2i + 1 and 2i + 2), go to r in one array call
-        los, his, mids = [lo], [hi], []
-        for i in range(2**_T_LEVELS - 1):
-            mids.append(0.5 * (los[i] + his[i]))
-            los += [los[i], mids[i]]
-            his += [mids[i], his[i]]
-        below = (g(np.array(mids)) < 0.0).tolist()
-        i = 0
-        while i < len(mids) and hi - lo > R_INTERVAL_TOL:
-            stuck = not lo < mids[i] < hi
-            if stuck:
-                break  # adjacent floats wider than the tolerance (t >= 512)
-            if below[i]:
-                lo, i = mids[i], 2 * i + 2
-            else:
-                hi, i = mids[i], 2 * i + 1
+    while hi - lo > R_INTERVAL_TOL and math.nextafter(lo, hi) < hi:
+        edges = np.linspace(lo, hi, 2**_T_LEVELS + 1)
+        # the cell ends at the first interior point where g is not below 0,
+        # or at hi if there is none
+        k = int(np.argmin(np.append(g(edges[1:-1]) < 0.0, False)))
+        lo, hi = float(edges[k]), float(edges[k + 1])
     t = 0.5 * (lo + hi)
     return math.exp(-t / rate.d - float(rate(t)))
 
@@ -325,18 +308,22 @@ class EquivalenceReport:
 def _exp_partials(g: Callable, lo: float, his: Sequence[float]) -> np.ndarray:
     """The integral of e^g over [lo, h] for each h in ``his`` (all above lo).
 
-    A composite Gauss-Legendre rule: unit-width panels from lo, each cut
-    where an h falls, 20 nodes per panel.  The truncations share their
-    panels, g sees every node in one array call, e^g is taken with
-    ``math.exp``, and each partial is the correctly rounded sum
-    (``math.fsum``) of the weighted values below its h.
+    A composite Gauss-Legendre rule, 20 nodes per panel.  Every h takes the
+    full unit panels [lo + k, lo + k + 1] below it, which all truncations
+    share, and its own tail panel [lo + floor(h - lo), h], so each partial is
+    the one h would get alone.  g sees every node in one array call, e^g is
+    taken with ``math.exp``, and each partial is the correctly rounded sum
+    (``math.fsum``) of its weighted values.
     """
-    edges = np.union1d(lo + np.arange(math.ceil(max(his) - lo)), his)
-    half = 0.5 * np.diff(edges)
-    nodes = (edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES
+    n_full = [math.floor(h - lo) for h in his]
+    k = np.arange(max(n_full))
+    left = np.concatenate([lo + k, lo + np.array(n_full, dtype=float)])
+    half = 0.5 * (np.concatenate([lo + (k + 1), his]) - left)
+    nodes = (left + half)[:, None] + half[:, None] * _GL_NODES
     values = np.array([math.exp(v) for v in g(nodes.ravel()).tolist()])
     terms = (half[:, None] * _GL_WEIGHTS) * values.reshape(nodes.shape)
-    return np.array([math.fsum(terms[: np.searchsorted(edges, h)].ravel().tolist()) for h in his])
+    full, tails = terms[: k.size], terms[k.size :]
+    return np.array([math.fsum(full[:n].ravel().tolist() + tail.tolist()) for n, tail in zip(n_full, tails)])
 
 
 def equivalence_check(

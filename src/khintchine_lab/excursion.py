@@ -241,7 +241,8 @@ def growth_bound_check(
     out = []
     for rec in records:
         if rec.peak is None:
-            continue
+            # skipping it would report no violation with nothing checked
+            raise ValueError(f"excursion record {rec.index} has no peak to check")
         bound = rate * rec.length + window.level + peak_slack + 1e-6
         if rec.peak > bound:
             out.append(rec)

@@ -92,7 +92,10 @@ def parse_point(text: str):
             exact = None
         else:
             frac = Fraction(p)
-            floats[i] = float(frac)
+            try:
+                floats[i] = float(frac)
+            except OverflowError:
+                raise ValueError(f"component {p} is too large for a float") from None
             if exact is not None:
                 exact.append(frac)
     return floats, exact
@@ -148,6 +151,9 @@ def scan_hits(x, psi: ApproxFunction, q_max: int, x_exact: Sequence[Fraction] | 
         raise ValueError("q_max must be >= 1")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = x.size
+    if not q_max * np.max(np.abs(x)) < 2.0**63:
+        # every p_j = round(q x_j) is stored as an int64
+        raise ValueError("q_max * |x_j| must stay below 2^63 for every component")
     if x_exact is not None:
         if len(x_exact) != d:
             raise ValueError("x_exact length mismatch")

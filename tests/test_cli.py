@@ -207,6 +207,10 @@ def test_main_dani_non_finite_psi_exits_1(tmp_path, capsys, flag):
         (["approx", "--x", "1/2", "--tol", "nan"], "tol must be finite and positive"),
         (["approx", "--x", "1/2", "--tol", "inf"], "tol must be finite and positive"),
         (["approx", "--x", "1/2", "--tol", "-1"], "tol must be finite and positive"),
+        (["approx", "--x", "1e17", "--q-max", "200"], "below 2^63"),
+        (["approx", "--x", "1e400"], "too large for a float"),
+        (["constants", "--n-max", "340"], "n = 340 is too large"),
+        (["constants", "--n-max", "680"], "n = 340 is too large"),
     ],
     ids=" ".join,
 )

@@ -107,27 +107,14 @@ def test_r_vectorized_matches_scalar():
 
 def _r_scalar(psi, d, t):
     # the scalar reference of the lockstep bisection, one t at a time
-    # G(r) = log psi(e^{t-r}) + t/d + r is strictly increasing in r
+    # G(r) = log psi(e^{t-r}) + t/d + r has G' >= 1, so the root lies between
+    # 0 and -G(0), widened by the slack that covers the rounding of G(0)
     def g(r):
         return float(psi.log_eval(t - r)) + t / d + r
 
-    lo, hi = -1.0, 1.0
-    w = 2.0
-    n = 0
-    while g(lo) > 0.0:
-        lo -= w
-        w *= 2.0
-        n += 1
-        if n > dani._MAX_DOUBLINGS:
-            raise InvalidPsiError(f"no lower bracket for r at t={t:.6g}")
-    w = 2.0
-    n = 0
-    while g(hi) < 0.0:
-        hi += w
-        w *= 2.0
-        n += 1
-        if n > dani._MAX_DOUBLINGS:
-            raise InvalidPsiError(f"no upper bracket for r at t={t:.6g}")
+    g0 = float(psi.log_eval(t)) + t / d
+    slack = 1.0 + 2.0**-40 * abs(g0)
+    lo, hi = min(-g0, 0.0) - slack, max(-g0, 0.0) + slack
     while hi - lo > dani.R_INTERVAL_TOL:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -174,15 +161,22 @@ def test_lockstep_lanes_are_independent():
     assert np.array_equal(dani.r_from_psi(psi, d, ts.reshape(1, 97)), rs.reshape(1, 97))
 
 
-def test_bracket_failure_names_first_failing_t(monkeypatch):
-    # r = t/2 here, so with two doublings the upper bracket stops at 1 + 2 + 4
-    monkeypatch.setattr(dani, "_MAX_DOUBLINGS", 2)
-    psi = ApproxFunction.power_log(1.0, 3.0)
-    with pytest.raises(InvalidPsiError, match="upper bracket for r at t=200"):
-        dani.r_from_psi(psi, 1, np.array([2.0, 200.0, 100.0, 4.0]))
-    with pytest.raises(InvalidPsiError, match="upper bracket for r at t=100"):
-        dani.r_from_psi(psi, 1, 100.0)
-    assert dani.r_from_psi(psi, 1, np.array([2.0, 4.0])) == pytest.approx([1.0, 2.0])
+def test_residual_failure_names_first_failing_t():
+    # psi(x) = 1e6 x^-3 is near 1e6 at the domain edge (t0 = -6.9), where r to
+    # within 1e-13 leaves a residual far above 1e-12; far out psi is tiny
+    psi = ApproxFunction.power_log(1e6, 3.0)
+    with pytest.raises(InvalidPsiError, match="residual .* at t=-5$"):
+        dani.r_from_psi(psi, 1, np.array([50.0, -5.0, 100.0, -6.0]))
+    with pytest.raises(InvalidPsiError, match="residual .* at t=-6$"):
+        dani.r_from_psi(psi, 1, -6.0)
+    with pytest.raises(InvalidPsiError, match="residual .* at t=-6$"):
+        _r_scalar(psi, 1, -6.0)
+    want = [closed_r(psi, 1, 50.0), closed_r(psi, 1, 100.0)]
+    assert dani.r_from_psi(psi, 1, np.array([50.0, 100.0])) == pytest.approx(want, rel=1e-15)
+    # psi = 1 at d = 1 gives r = -t; at t = 1e40 an ulp of r is about 2e24, so
+    # e^(-t-r) overflows, which fails the check as well
+    with pytest.raises(InvalidPsiError, match="residual inf at t=1e\\+40$"):
+        dani.r_from_psi(ApproxFunction.power_log(1.0, 0.0), 1, 1e40)
 
 
 def test_nan_residual_fails_both_routes():
@@ -199,8 +193,8 @@ def test_r_beyond_float_resolution_of_the_tolerance():
     # bisection stops there instead of looping forever
     psi = ApproxFunction.power_log(1.0, 3.0)
     assert dani.r_from_psi(psi, 1, 2000.0) == pytest.approx(1000.0, rel=1e-15)
-    rs = dani.r_from_psi(psi, 1, np.array([2000.0, 3000.0, 5.0]))
-    assert rs == pytest.approx([1000.0, 1500.0, 2.5], rel=1e-15)
+    ts = np.array([2000.0, 3000.0, 5.0, 1e12, 1e300])
+    assert dani.r_from_psi(psi, 1, ts) == pytest.approx(ts / 2.0, rel=1e-15)
 
 
 def test_round_trip_psi_r_psi():
@@ -222,35 +216,25 @@ def test_psi_from_r_beyond_float_resolution_of_the_tolerance():
     assert back == pytest.approx(psi(1e200), rel=1e-8)
 
 
-def _t_halving_reference(rate, x):
-    # psi_from_r's t-bisection one halving, and one r call, at a time
-    log_x = math.log(x)
-    lo, hi = rate.t_start, rate.t_start + 1.0
-    w = 2.0
-    while hi - float(rate(hi)) - log_x < 0.0:
-        hi += w
-        w *= 2.0
-    while hi - lo > dani.R_INTERVAL_TOL:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if mid - float(rate(mid)) - log_x < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    return math.exp(-t / rate.d - float(rate(t)))
+def test_psi_from_r_sends_each_round_to_r_in_one_call(monkeypatch):
+    # one r call at t0, one per doubling of the bracket, one per round of 63
+    # interior points and one at the root: 1 + 10 + 9 + 1 at x = 1e200, where
+    # t is near 576
+    calls = []
+    r_from_psi = dani.r_from_psi
 
+    def counted(psi, d, t):
+        calls.append(np.size(t))
+        return r_from_psi(psi, d, t)
 
-@pytest.mark.parametrize("levels", [2, dani._T_LEVELS])
-def test_psi_from_r_halves_t_as_one_halving_at_a_time(monkeypatch, levels):
-    # the heap of midpoints decided per r call gives the floats of halving
-    # one step at a time, also where the bisection stops on adjacent floats
-    monkeypatch.setattr(dani, "_T_LEVELS", levels)
+    monkeypatch.setattr(dani, "r_from_psi", counted)
     for c, a, b, d in [(1.0, 1.5, 0.0, 1), (0.8, 1.2, 1.5, 2)]:
         rate = RateFunction(ApproxFunction.power_log(c, a, b), d)
-        for x in [3.0, 1e8, 1e200]:
-            assert dani.psi_from_r(rate, x) == _t_halving_reference(rate, x)
+        for x, most in [(3.0, 12), (1e8, 16), (1e200, 21)]:
+            calls.clear()
+            assert dani.psi_from_r(rate, x) == pytest.approx(rate.psi(x), rel=1e-12)
+            assert len(calls) <= most
+            assert max(calls) == 2**dani._T_LEVELS - 1
 
 
 def test_psi_from_r_rejects_x_below_edge():
@@ -402,13 +386,19 @@ def test_partials_ratio_is_one_minus_slope_for_affine_rate(c, a, x0, d):
 
 
 def test_partials_share_panels_across_truncations():
-    # each truncation alone gives the same partial as inside a longer grid
-    psi = ApproxFunction.power_log(1.0, 1.0, 1.0)
-    whole = dani.equivalence_check(psi, 2, 0.5, grid=(60.0, 10.0, 33.3))
-    for i, big_t in enumerate(whole.truncations):
-        alone = dani.equivalence_check(psi, 2, 0.5, grid=(big_t,))
-        assert alone.i_r[0] == whole.i_r[i]
-        assert alone.i_psi[0] == whole.i_psi[i]
+    # each truncation alone gives the same partial as inside a grid of others
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        c, a, x0 = np.exp(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 3.0), rng.uniform(1.0, 5.0)
+        b = rng.uniform(0.0, 2.0) * rng.integers(2)  # b = 0 about half the time
+        psi = ApproxFunction.power_log(c, a, b, x0)
+        d, alpha = int(rng.integers(1, 4)), rng.uniform(0.3, 2.0)
+        grid = tuple((dani.t0_of(psi, d) + rng.uniform(0.5, 40.0, 3)).tolist())
+        whole = dani.equivalence_check(psi, d, alpha, grid=grid)
+        for i, big_t in enumerate(grid):
+            alone = dani.equivalence_check(psi, d, alpha, grid=(big_t,))
+            assert alone.i_r[0] == whole.i_r[i]
+            assert alone.i_psi[0] == whole.i_psi[i]
 
 
 def test_invalid_psi_error_is_value_error():

@@ -260,6 +260,15 @@ def test_growth_bound_flags_fabricated_violation():
     assert bad == [fake]
 
 
+def test_growth_bound_rejects_a_record_without_peak():
+    # a peakless record used to be skipped, so the check passed with nothing checked
+    window = lattices.CompactWindow(1.0)
+    recs = excursion.excursions([2, 3, 7])
+    assert recs and all(r.peak is None for r in recs)
+    with pytest.raises(ValueError, match="no peak"):
+        excursion.growth_bound_check(recs, window, 1 / 3, 1)
+
+
 def test_rate_budget_closed_form_fields():
     rb = excursion.rate_budget(1 / 3, 1, varpi=math.log(2) / math.log(3), log_Cc=0.0, eps=0.5, m=12)
     assert rb.rho == pytest.approx(0.75)
