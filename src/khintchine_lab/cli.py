@@ -18,7 +18,6 @@ import math
 import os
 import sys as _sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,6 +239,10 @@ def _run_pool(task_fn, payloads, workers: int):
     """Ordered map over payloads; identical output for any worker count."""
     if workers <= 1 or len(payloads) <= 1:
         return [task_fn(p) for p in payloads]
+    # imported here: concurrent.futures.process loads multiprocessing, about
+    # 12 ms of every import of the command line
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(task_fn, p) for p in payloads]
         return [f.result() for f in futures]

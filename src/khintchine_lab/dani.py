@@ -15,13 +15,16 @@ what the convergence classifications run on.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 R_INTERVAL_TOL = 1e-13
-RESIDUAL_TOL = 1e-12
+# the balance residual may be this many times the first-order bound of
+# _check_balance
+RESIDUAL_FACTOR = 8.0
 BORDERLINE_TOL = 1e-12
 _MAX_DOUBLINGS = 200
 # psi_from_r cuts its t-interval into 2**_T_LEVELS cells per array call of r
@@ -135,8 +138,9 @@ def _r_lockstep(psi: ApproxFunction, d: int, t: np.ndarray) -> np.ndarray:
     ``R_INTERVAL_TOL`` or its ends are adjacent floats (|r| >= 512), and
     checks the balance residual.  Every step is elementwise IEEE arithmetic
     on the lane's own t, so a lane gets the floats it would get alone; a
-    lane that is done drops out and the others go on.  On failure the error
-    names the first failing t in input order.
+    lane that is done drops out and the others go on.  Each lane's root
+    goes through ``_check_balance``; on failure the error names the first
+    failing t in input order.
     """
     t_over_d = t / d
 
@@ -157,14 +161,36 @@ def _r_lockstep(psi: ApproxFunction, d: int, t: np.ndarray) -> np.ndarray:
         hi[active[~below]] = mid[~below]
         active = active[hi[active] - lo[active] > R_INTERVAL_TOL]
     r = 0.5 * (lo + hi)
-    for ti, ri, lp in zip(t.tolist(), r.tolist(), psi.log_eval(t - r).tolist()):
-        try:
-            residual = math.exp(lp) - math.exp(-ti / d - ri)
-        except OverflowError:  # e^709 is the largest float: no balance here
-            residual = math.inf
-        if not abs(residual) <= RESIDUAL_TOL:
-            raise InvalidPsiError(f"balance residual {residual:.3g} at t={ti:.6g}")
+    _check_balance(psi, d, t, r)
     return r
+
+
+def _check_balance(psi: ApproxFunction, d: int, t: np.ndarray, r: np.ndarray) -> None:
+    """Raise ``InvalidPsiError``, naming the first failing t in input order,
+    unless psi(e^{t-r}) meets e^{-t/d-r} at every lane as closely as the
+    bisection resolves r.
+
+    Relative to psi the residual psi - e^{-t/d-r} is G(r) to first order, and
+    G' = 1 + m lies in [1, 1 + a + b].  A bisected r is within the spacing at
+    which the bisection stops of the root (``R_INTERVAL_TOL``, or an ulp of r
+    past |r| = 512), and G is read from t - r and t/d + r, each rounded to an
+    ulp of t or r.  So |residual| may be ``RESIDUAL_FACTOR`` (1 + a + b)
+    times the largest of those spacings, times psi; psi is floored at the
+    smallest normal float, below which it carries fewer bits.  A nan
+    residual fails, and so does one where either side overflows.
+    """
+    spacing = np.maximum(np.spacing(np.maximum(np.abs(t), np.abs(r))), R_INTERVAL_TOL)
+    bounds = RESIDUAL_FACTOR * (1.0 + psi.a + psi.b) * spacing
+    tiny = sys.float_info.min
+    for ti, ri, lp, bound in zip(t.tolist(), r.tolist(), psi.log_eval(t - r).tolist(), bounds.tolist()):
+        try:
+            psi_t = math.exp(lp)
+            residual = psi_t - math.exp(-ti / d - ri)
+        except OverflowError:
+            # e^709 is the largest float: no balance here, and a finite bound
+            psi_t, residual = 0.0, math.inf
+        if not abs(residual) <= bound * (psi_t if psi_t > tiny else tiny):
+            raise InvalidPsiError(f"balance residual {residual:.3g} at t={ti:.6g}")
 
 
 def r_from_psi(psi: ApproxFunction, d: int, t):

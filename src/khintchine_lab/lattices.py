@@ -359,11 +359,19 @@ def shortest_of_basis(basis: np.ndarray) -> tuple[float, np.ndarray]:
     if not np.isfinite(b).all():
         raise ValueError("basis has non-finite entries")
     _, u, delta, coeff_list = _reduce(b)
+    return delta, _witness(u, coeff_list)
+
+
+def _witness(u, coeff_list: list) -> np.ndarray:
+    """The witness rule of ``shortest_of_basis``: each coefficient vector of
+    ``coeff_list`` (w.r.t. reduced rows U @ basis) taken back to the basis
+    rows through the integer rows of U, sign-normalized, and of those the
+    lexicographically least."""
     columns = list(zip(*u))
     witnesses = [
         _canonical(tuple(sum(map(mul, c, col)) for col in columns)) for c in coeff_list
     ]
-    return delta, np.array(min(witnesses), dtype=np.int64)
+    return np.array(min(witnesses), dtype=np.int64)
 
 
 def certified_box(basis: np.ndarray) -> tuple[int, ...]:

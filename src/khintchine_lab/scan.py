@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -27,9 +28,11 @@ import numpy as np
 from .dani import ApproxFunction, RateFunction
 from .flows import diagonal_point
 from .ifs import IfsSystem, diameter_estimate, rounding_bound, sample_fractal
-from .lattices import height, shortest_vector
+from .lattices import _reduce, _witness, dual_basis, height
 
 _Q_CHUNK = 1 << 15
+# step in t of dani_cross_check's converse grid
+_GRID_STEP = 0.05
 # The float scan decides with the libm psi every q whose error is at most
 # (1 + _PSI_WINDOW) times numpy's psi; the two psi differ by under 4e-15.
 _PSI_WINDOW = 1e-9
@@ -173,6 +176,34 @@ def scan_hits(x, psi: ApproxFunction, q_max: int, x_exact: Sequence[Fraction] | 
     return out
 
 
+def _grid_walk(x: np.ndarray, ts: np.ndarray):
+    """Shortest vectors of a_t u_x at the times ``ts``, which must be spaced
+    ``_GRID_STEP`` apart, walked along the diagonal flow.
+
+    Yields, per time, (Delta, U, coeffs) with U the integer rows taking the
+    dual basis of a_t u_x to the reduced rows, and coeffs every minimizer
+    w.r.t. the reduced rows, as ``lattices._reduce`` gives them.  Only the
+    first basis is built from a_t u_x and reduced cold.  The dual basis of
+    a_{t+h} u_x is that of a_t u_x times diag(e^-h, e^(h/d) I_d), which
+    commutes with an integer change of rows; so each later basis is the
+    previous reduced one scaled by that diagonal and re-reduced, as in
+    ``excursion.diagonal_heights``, and U is composed in Python ints.
+    """
+    if not ts.size:
+        return
+    d = x.size
+    step = np.array([math.exp(-_GRID_STEP)] + [math.exp(_GRID_STEP / d)] * d)
+    b = dual_basis(diagonal_point(x, float(ts[0])))
+    u_total = None
+    for _ in range(ts.size):
+        reduced, u, delta, coeffs = _reduce(b)
+        if u_total is not None:
+            u = [[sum(map(mul, row, col)) for col in zip(*u_total)] for row in u]
+        u_total = u
+        yield delta, u_total, coeffs
+        b = np.asarray(reduced).reshape(b.shape) * step
+
+
 def dani_cross_check(
     x,
     psi: ApproxFunction,
@@ -185,10 +216,12 @@ def dani_cross_check(
 
     Direct: every non-degenerate hit of ``scan_hits`` (returned in ``hits``)
     must satisfy l(a_{t*} u_x) >= r(t*) - tol.
-    Converse: on the t grid of step 0.05 over
+    Converse: on the t grid of step ``_GRID_STEP`` over
     [t0 + 1e-6, d/(d+1) log q_max + 5), restricted to t - r(t) <= log q_max,
     every time with l >= r + tol must yield a witness with 1 <= q <= e^t + 1
-    and ||q x - p||_inf < psi(q).
+    and ||q x - p||_inf < psi(q).  The grid is walked along the flow
+    (``_grid_walk``); each hit's lattice is built and reduced cold, so the
+    two checks share no reduced basis.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         # a nan tol passes every height test, an infinite one checks no crossing
@@ -208,26 +241,25 @@ def dani_cross_check(
         l_val = height(diagonal_point(x, hit.witness_time))
         if l_val < r_val - tol:
             direct_violations.append((hit.q, hit.witness_time, l_val, r_val))
-    ts = np.arange(t0 + 1e-6, d / (d + 1) * math.log(q_max) + 5.0, 0.05)
+    ts = np.arange(t0 + 1e-6, d / (d + 1) * math.log(q_max) + 5.0, _GRID_STEP)
     converse_violations = []
     crossings = 0
     times_checked = 0
-    for t, r_val in zip(ts, rate(ts).tolist()):
+    for t, r_val, (delta, u, coeffs) in zip(ts.tolist(), rate(ts).tolist(), _grid_walk(x, ts)):
         if t - r_val > math.log(q_max) - 1e-9:
-            continue  # witness q could exceed the scan range
+            continue  # witness q could exceed the scan range; the walk goes on
         times_checked += 1
-        point = diagonal_point(x, float(t))
-        delta, coeffs = shortest_vector(point)
         l_val = -math.log(delta)
         if l_val < r_val + tol:
             continue
         crossings += 1
-        q = int(coeffs[0])
-        p = -np.asarray(coeffs[1:], dtype=int)
+        witness = _witness(u, coeffs)
+        q = int(witness[0])
+        p = -np.asarray(witness[1:], dtype=int)
         err = float(np.max(np.abs(q * x - p))) if q != 0 else math.inf
         psi_q = float(psi(q)) if q >= 1 else math.nan
         if q < 1 or q > math.exp(t) + 1.0 or not err < psi_q:
-            converse_violations.append((float(t), q, err, psi_q))
+            converse_violations.append((t, q, err, psi_q))
     return CrossCheckReport(
         hits=hits,
         hits_checked=len(checked),

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import os
@@ -105,9 +106,19 @@ def test_resolve_system_builtin_and_file(tmp_path):
     assert cli.resolve_system(path).dimension == 1
 
 
-def test_run_is_deterministic_across_dirs_and_workers(tmp_path):
+def test_run_is_deterministic_across_dirs_and_workers(tmp_path, monkeypatch):
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    # cli imports the pool class when it starts a pool, so it gets this one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     m1 = cli.run(small_excursions_config(tmp_path, "a", workers=1))
     m2 = cli.run(small_excursions_config(tmp_path, "b", workers=2))
+    assert pools == [2]  # the second run went through a real pool
     assert m1.outputs == m2.outputs
     assert m1.verdicts == m2.verdicts
     header, rows = read_csv(tmp_path / "a" / "excursions.csv")
@@ -340,11 +351,25 @@ assert cli.main(["dani", "--d", "2", "--psi-b", "1.0", "--out", "dani"]) == 0
 """
 
 
+def _src_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_runs_without_scipy(tmp_path):
     # importing the command line must not load scipy, and simulate (tail
     # statistics) and dani (partial integrals) must run with scipy blocked
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY], cwd=tmp_path, env=_src_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_multiprocessing(tmp_path):
+    # a --workers 1 run starts no pool, so importing the command line must
+    # not load the pool's multiprocessing modules
+    code = ("import sys, khintchine_lab.cli; print(sorted(m for m in sys.modules "
+            "if m.lstrip('_').split('.')[0] == 'multiprocessing'))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_src_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

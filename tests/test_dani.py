@@ -124,9 +124,7 @@ def _r_scalar(psi, d, t):
         else:
             hi = mid
     r = 0.5 * (lo + hi)
-    residual = math.exp(float(psi.log_eval(t - r))) - math.exp(-t / d - r)
-    if not abs(residual) <= dani.RESIDUAL_TOL:
-        raise InvalidPsiError(f"balance residual {residual:.3g} at t={t:.6g}")
+    dani._check_balance(psi, d, np.array([t]), np.array([r]))
     return r
 
 
@@ -162,21 +160,39 @@ def test_lockstep_lanes_are_independent():
 
 
 def test_residual_failure_names_first_failing_t():
-    # psi(x) = 1e6 x^-3 is near 1e6 at the domain edge (t0 = -6.9), where r to
-    # within 1e-13 leaves a residual far above 1e-12; far out psi is tiny
-    psi = ApproxFunction.power_log(1e6, 3.0)
-    with pytest.raises(InvalidPsiError, match="residual .* at t=-5$"):
-        dani.r_from_psi(psi, 1, np.array([50.0, -5.0, 100.0, -6.0]))
-    with pytest.raises(InvalidPsiError, match="residual .* at t=-6$"):
-        dani.r_from_psi(psi, 1, -6.0)
-    with pytest.raises(InvalidPsiError, match="residual .* at t=-6$"):
-        _r_scalar(psi, 1, -6.0)
-    want = [closed_r(psi, 1, 50.0), closed_r(psi, 1, 100.0)]
-    assert dani.r_from_psi(psi, 1, np.array([50.0, 100.0])) == pytest.approx(want, rel=1e-15)
+    # psi(x) = x^(1/2) (a = -1/2, past the constructor's check) has G' = 1/2,
+    # so the root r = -3t lies outside the bracket between 0 and -G(0) = -3t/2
+    # (widened by 1) once t > 2/3: there the bisection ends at the bracket's
+    # edge, a genuinely wrong r
+    psi = ApproxFunction.power_log(1.0, 0.0)
+    object.__setattr__(psi, "a", -0.5)
+    with pytest.raises(InvalidPsiError, match="residual .* at t=3$"):
+        dani.r_from_psi(psi, 1, np.array([0.5, 3.0, 0.2, 2.0]))
+    with pytest.raises(InvalidPsiError, match="residual .* at t=2$"):
+        dani.r_from_psi(psi, 1, 2.0)
+    with pytest.raises(InvalidPsiError, match="residual .* at t=2$"):
+        _r_scalar(psi, 1, 2.0)
+    assert dani.r_from_psi(psi, 1, np.array([0.5, 0.2])) == pytest.approx([-1.5, -0.6], rel=1e-13)
     # psi = 1 at d = 1 gives r = -t; at t = 1e40 an ulp of r is about 2e24, so
     # e^(-t-r) overflows, which fails the check as well
     with pytest.raises(InvalidPsiError, match="residual inf at t=1e\\+40$"):
         dani.r_from_psi(ApproxFunction.power_log(1.0, 0.0), 1, 1e40)
+
+
+def test_residual_is_judged_relative_to_psi():
+    # r right to the bisection's spacing passes wherever psi is large (psi =
+    # 1e6 x^-3 near its domain edge t0 = -6.9, constant psi = 33 and 100) or
+    # an ulp of r is above 1e-13 (|r| >= 512)
+    psi = ApproxFunction.power_log(1e6, 3.0)
+    ts = np.array([50.0, -5.0, 100.0, -6.0])
+    want = [closed_r(psi, 1, t) for t in ts.tolist()]
+    assert dani.r_from_psi(psi, 1, ts) == pytest.approx(want, rel=1e-13)
+    for c in (33.0, 100.0):
+        psi = ApproxFunction.power_log(c, 0.0)
+        ts = np.linspace(dani.t0_of(psi, 1), 60.0, 2001)
+        assert dani.r_from_psi(psi, 1, ts) == pytest.approx(-ts - math.log(c), rel=1e-13, abs=1e-13)
+    psi = ApproxFunction.power_log(2.0, 0.0)
+    assert dani.r_from_psi(psi, 1, 1e5) == pytest.approx(-1e5 - math.log(2.0), rel=1e-15)
 
 
 def test_nan_residual_fails_both_routes():

@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from khintchine_lab import ifs, scan
-from khintchine_lab.dani import ApproxFunction
+from khintchine_lab import flows, ifs, lattices, scan
+from khintchine_lab.dani import ApproxFunction, RateFunction
 
 
 def psi_over_q(c=1.0):
@@ -186,6 +186,76 @@ def test_cross_check_skips_degenerate_hits():
     # q multiples of 2 have error exactly zero: no finite witness time
     assert rep.degenerate_skipped == 25
     assert rep.hits_checked + rep.degenerate_skipped + rep.below_domain_skipped == 26
+
+
+def _attained_height(witness, x, t):
+    # -log of the sup norm of the witness's vector in the cold basis at t,
+    # each entry a correctly rounded sum
+    basis = lattices.dual_basis(flows.diagonal_point(x, t)).tolist()
+    vec = [math.fsum(int(c) * v for c, v in zip(witness, col)) for col in zip(*basis)]
+    return -math.log(max(map(abs, vec)))
+
+
+@pytest.mark.parametrize("d, t_end", [(1, 12.0), (2, 14.0), (3, 12.0)])
+def test_grid_walk_matches_cold_shortest_vectors(d, t_end):
+    # Below the faithful horizon (1 + 1/d) t < 53 log 2 the walked and the
+    # cold height differ by roundings amplified by up to e^((1 + 1/d) t),
+    # plus the drift of the walk's repeated scaling; the gap measured here
+    # stays under 2^-51 (1 + e^((1 + 1/d) t)), and the bound is 8 times that
+    rng = np.random.default_rng(40 + d)
+    for _ in range(2):
+        x = rng.random(d)
+        ts = np.arange(rng.uniform(0.0, scan._GRID_STEP), t_end, scan._GRID_STEP)
+        for t, (delta, u, coeffs) in zip(ts.tolist(), scan._grid_walk(x, ts)):
+            delta_cold, witness_cold = lattices.shortest_vector(flows.diagonal_point(x, t))
+            bound = 2.0**-48 * (1.0 + math.exp((1.0 + 1.0 / d) * t))
+            l_cold = -math.log(delta_cold)
+            assert abs(-math.log(delta) - l_cold) <= bound, t
+            witness = lattices._witness(u, coeffs)
+            if not np.array_equal(witness, witness_cold):
+                # a near-tie decided by rounding: both witnesses attain Delta
+                for w in (witness, witness_cold):
+                    assert abs(_attained_height(w, x, t) - l_cold) <= bound, t
+
+
+def _cold_converse(x, psi, d, q_max, tol):
+    # the reference of the converse grid: every grid lattice built and
+    # reduced cold, its witness read by shortest_vector
+    rate = RateFunction(psi, d)
+    ts = np.arange(rate.t_start + 1e-6, d / (d + 1) * math.log(q_max) + 5.0, scan._GRID_STEP)
+    times_checked, crossings, violations = 0, 0, []
+    for t, r_val in zip(ts.tolist(), rate(ts).tolist()):
+        if t - r_val > math.log(q_max) - 1e-9:
+            continue
+        times_checked += 1
+        delta, coeffs = lattices.shortest_vector(flows.diagonal_point(x, t))
+        if -math.log(delta) < r_val + tol:
+            continue
+        crossings += 1
+        q, p = int(coeffs[0]), -coeffs[1:]
+        err = float(np.max(np.abs(q * x - p))) if q != 0 else math.inf
+        psi_q = float(psi(q)) if q >= 1 else math.nan
+        if q < 1 or q > math.exp(t) + 1.0 or not err < psi_q:
+            violations.append((t, q, err, psi_q))
+    return times_checked, crossings, violations
+
+
+# the approx cases of the golden digests (d = 1, 2; default psi = 1/q) and
+# a07's twelve combos (d = 1, q_max = 10^4)
+GOLDEN_APPROX = [(text, ApproxFunction.power_log(1.0, 1.0), 200)
+                 for text in ("3/7,5/11", "golden,0.3", "3/7", "golden")]
+A07_APPROX = [(text, psi, 10_000) for text in ("0", "1/2", "3/7", "golden")
+              for psi in (ApproxFunction.power_log(1.0, 1.0), ApproxFunction.power_log(1.0, 1.5),
+                          ApproxFunction.power_log(0.44, 1.0))]
+
+
+@pytest.mark.parametrize("text, psi, q_max", GOLDEN_APPROX + A07_APPROX)
+def test_walked_converse_grid_counts_match_cold_grid(text, psi, q_max):
+    x, exact = scan.parse_point(text)
+    rep = scan.dani_cross_check(x, psi, x.size, q_max, tol=1e-6, x_exact=exact)
+    assert rep.times_checked > 0
+    want = _cold_converse(x, psi, x.size, q_max, 1e-6)
+    assert (rep.times_checked, rep.crossings, rep.converse_violations) == want
 
 
 def test_survey_control_function_hits_every_band():
