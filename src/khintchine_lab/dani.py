@@ -26,7 +26,6 @@ R_INTERVAL_TOL = 1e-13
 # _check_balance
 RESIDUAL_FACTOR = 8.0
 BORDERLINE_TOL = 1e-12
-_MAX_DOUBLINGS = 200
 # psi_from_r cuts its t-interval into 2**_T_LEVELS cells per array call of r
 _T_LEVELS = 6
 
@@ -248,11 +247,13 @@ def psi_from_r(rate: RateFunction, x: float) -> float:
     """psi(x) = e^{-t/d - r(t)} at the unique t with e^{t - r(t)} = x,
     d = rate.d.
 
-    t - r(t) - log x is strictly increasing in t.  Its root is bracketed by
-    doubling steps up from t0; each round then sends the 2^``_T_LEVELS`` - 1
-    evenly spaced interior points of [lo, hi] to r in one array call and
-    keeps the cell where the sign changes, until the cell is narrower than
-    ``R_INTERVAL_TOL`` or its ends are adjacent floats (t >= 512).
+    g(t) = t - r(t) - log x has slope (1 + 1/d)/(1 + m) with m = -d log psi
+    / d log x in [0, a + b], so its root lies within -g(t0) (1 + a + b)/(1 +
+    1/d) of t0; hi takes that reach, widened by 2^-40 of it and by 1, and
+    g(hi) is checked.  Each round sends the 2^``_T_LEVELS`` - 1 evenly spaced
+    interior points of [lo, hi] to r in one array call and keeps the cell
+    where the sign changes, until it is narrower than ``R_INTERVAL_TOL`` or
+    its ends are adjacent floats (t >= 512).
     """
     log_x = math.log(x)
     t0 = rate.t_start
@@ -260,17 +261,13 @@ def psi_from_r(rate: RateFunction, x: float) -> float:
     def g(t):
         return t - rate(t) - log_x
 
-    if g(t0) > 1e-9:
+    g0 = g(t0)
+    if g0 > 1e-9:
         raise ValueError(f"x={x:.6g} below the domain edge e^(t0 - r(t0))")
-    lo, hi = t0, t0 + 1.0
-    w = 2.0
-    n = 0
-    while g(hi) < 0.0:
-        hi += w
-        w *= 2.0
-        n += 1
-        if n > _MAX_DOUBLINGS:
-            raise InvalidPsiError("no upper bracket for t")
+    reach = -g0 * (1.0 + rate.psi.a + rate.psi.b) / (1.0 + 1.0 / rate.d)
+    lo, hi = t0, t0 + reach * (1.0 + 2.0**-40) + 1.0
+    if g(hi) < 0.0:
+        raise InvalidPsiError(f"no upper bracket for t at x={x:.6g}")
     while hi - lo > R_INTERVAL_TOL and math.nextafter(lo, hi) < hi:
         edges = np.linspace(lo, hi, 2**_T_LEVELS + 1)
         # the cell ends at the first interior point where g is not below 0,
@@ -367,6 +364,8 @@ def equivalence_check(
     ``rate`` call.
     """
     _check_exponent("alpha", alpha)
+    if not len(grid):
+        raise ValueError("truncation grid is empty: no partial integral to compare")
     rate = RateFunction(psi, d)
     gamma = alpha * (d + 1) / d
     t0 = rate.t_start

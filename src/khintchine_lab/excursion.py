@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 import mpmath
@@ -18,7 +19,7 @@ import numpy as np
 
 from .flows import diag_time, similarity_to_group
 from .ifs import IfsSystem, sample_words
-from .lattices import CompactWindow, _reduced_sup, _reduced_sups
+from .lattices import CompactWindow, _flow_walk, _reduced_sups, _times, _walk
 
 # tail_report draws and walks this many walks at a time, which bounds the
 # words and heights it holds at once (16 bytes per walk step)
@@ -88,21 +89,10 @@ def _step_inverses(sys: IfsSystem) -> list:
     return [similarity_to_group(m).inverse().matrix for m in sys.maps]
 
 
-def _times(b: np.ndarray, s) -> np.ndarray:
-    """The product b @ s over b's first two axes, columns of b times rows of
-    s, summed left to right in elementwise IEEE arithmetic (no BLAS), so the
-    floats are the same on every platform.  Trailing axes of a
-    [row, column, basis] array of bases broadcast."""
-    out = b[:, 0:1] * s[0]
-    for i in range(1, len(s)):
-        out += b[:, i : i + 1] * s[i]
-    return out
-
-
 def _lagrange_walks(bases: np.ndarray, steps: list, words: np.ndarray) -> np.ndarray:
     """Heights of d=1 walks advanced in lockstep, one walk per row of
-    ``words``, each from its own 2x2 basis: the floats of ``_reduced_sup``
-    (reduce the start, then step and reduce) for every walk.  Heights go
+    ``words``, each from its own 2x2 basis: the floats of ``_walk`` (reduce
+    the start, then step and reduce) for every walk.  Heights go
     through ``math.log``; ``np.log`` can differ in the last bit."""
     b, _ = _reduced_sups(np.moveaxis(bases, 0, -1).copy())
     table = np.moveaxis(np.array(steps, dtype=float), 0, -1)
@@ -137,31 +127,16 @@ def walk_heights(sys: IfsSystem, word: Sequence[int] | np.ndarray, start=None) -
     else:
         out = np.empty(rows.shape)
         for heights, basis, row in zip(out, bases, rows):
-            b, _ = _reduced_sup(basis)
-            for i, s in enumerate(row):
-                b, delta = _reduced_sup(_times(b, steps[s]))
-                heights[i] = -math.log(delta)
+            walk = _walk(basis, [steps[s] for s in row], _times)
+            heights[:] = [-math.log(delta) for _, _, delta, _ in islice(walk, 1, None)]
     return out.reshape(words.shape)
 
 
 def diagonal_heights(x, kappa: float, n_max: int, refine: int = 1) -> np.ndarray:
     """Heights l(a_t u_x) on the grid t_j = j*spacing, j = 0..n_max*refine,
     where spacing = -d log(kappa)/((d+1) refine)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = x.size
-    spacing = diag_time(kappa, d) / refine
-    basis = np.eye(d + 1)
-    basis[0, 1:] = x
-    step = np.array([math.exp(-spacing)] + [math.exp(spacing / d)] * d)
-    b, delta = _reduced_sup(basis)
-    out = np.empty(n_max * refine + 1)
-    out[0] = -math.log(delta)
-    for j in range(1, out.size):
-        # B @ diag(step): every off-diagonal product is an exact zero, so
-        # scaling the columns gives the same floats
-        b, delta = _reduced_sup(b * step)
-        out[j] = -math.log(delta)
-    return out
+    walk = _flow_walk(x, 0.0, diag_time(kappa, np.size(x)) / refine, n_max * refine)
+    return np.array([-math.log(delta) for _, _, delta, _ in walk])
 
 
 # ---------------------------------------------------------------------------

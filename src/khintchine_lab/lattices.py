@@ -14,13 +14,14 @@ certifiably contains every sup-norm minimizer; l(g) = -log Delta(g).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
 
-from .flows import GroupElement
+from .flows import GroupElement, diagonal_point
 
 DIMENSION_LIMIT = 6
 SINGULAR_TOL = 1e-250
@@ -311,7 +312,7 @@ def _lagrange_reduce(b: np.ndarray) -> np.ndarray:
 
 
 def _reduced_sups(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lockstep ``_reduced_sup`` over the 2x2 bases of a [row, column, basis]
+    """Lockstep ``_reduce`` over the 2x2 bases of a [row, column, basis]
     array: the reduced array and each basis's Delta, with the floats of
     ``_lagrange_2x2`` and ``_sup_2x2``.  The candidate products have
     coefficients 0 and +-1, so they are exact and each entry rounds once."""
@@ -325,21 +326,49 @@ def _reduce(basis: np.ndarray) -> tuple:
     rows of U with reduced = U @ basis, the sup norm Delta of its shortest
     vector and every coefficient vector w.r.t. the reduced rows that attains
     it (one of each +-pair): Lagrange and the candidate scan for 2x2, LLL and
-    enumeration above."""
-    if len(basis) == 2:
+    enumeration above, up to ``DIMENSION_LIMIT`` rows for every caller."""
+    k = len(basis)
+    if k == 2:
         rows, u = _lagrange_2x2(*basis.ravel().tolist())
         delta, coeffs = _sup_2x2(*rows)
         return rows, u, delta, coeffs
+    if k > DIMENSION_LIMIT:
+        raise ValueError(f"dimension {k} above certified range {DIMENSION_LIMIT}")
     reduced, u = lll_reduce(basis)
     delta, coeffs = _enumerate_sup(reduced)
     return reduced, u.tolist(), delta, coeffs
 
 
-def _reduced_sup(basis: np.ndarray) -> tuple[np.ndarray, float]:
-    """Reduced form of a row basis and the sup norm Delta of its shortest
-    vector."""
-    reduced, _, delta, _ = _reduce(basis)
-    return np.asarray(reduced).reshape(basis.shape), delta
+def _times(b: np.ndarray, s) -> np.ndarray:
+    """The product b @ s over b's first two axes, columns of b times rows of
+    s, summed left to right in elementwise IEEE arithmetic (no BLAS), so the
+    floats are the same on every platform.  Trailing axes of a
+    [row, column, basis] array of bases broadcast."""
+    out = b[:, 0:1] * s[0]
+    for i in range(1, len(s)):
+        out += b[:, i : i + 1] * s[i]
+    return out
+
+
+def _walk(basis: np.ndarray, factors, times=np.multiply):
+    """Yields ``_reduce`` of ``basis``, then of each reduced basis times the
+    next of ``factors``, which act on the right and so commute with the
+    integer change of rows.  ``np.multiply`` scales columns by a diagonal
+    given as its entries (the off-diagonal products of B @ diag are exact
+    zeros); ``_times`` multiplies by a step matrix."""
+    reduced = _reduce(basis)
+    yield reduced
+    for factor in factors:
+        reduced = _reduce(times(np.asarray(reduced[0]).reshape(basis.shape), factor))
+        yield reduced
+
+
+def _flow_walk(x, t: float, h: float, n: int):
+    """``_walk`` of the dual bases of a_s u_x at s = t, t + h, ..., t + n h,
+    each the one before times diag(e^-h, e^(h/d) I_d)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    step = np.array([math.exp(-h)] + [math.exp(h / x.size)] * x.size)
+    return _walk(dual_basis(diagonal_point(x, t)), itertools.repeat(step, n))
 
 
 def shortest_of_basis(basis: np.ndarray) -> tuple[float, np.ndarray]:
@@ -352,9 +381,6 @@ def shortest_of_basis(basis: np.ndarray) -> tuple[float, np.ndarray]:
     b = np.asarray(basis, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError("basis must be square")
-    k = b.shape[0]
-    if k > DIMENSION_LIMIT:
-        raise ValueError(f"dimension {k} above certified range {DIMENSION_LIMIT}")
     # the method, not np.all: a third of the cost of a 2x2 call
     if not np.isfinite(b).all():
         raise ValueError("basis has non-finite entries")

@@ -28,7 +28,7 @@ import numpy as np
 from .dani import ApproxFunction, RateFunction
 from .flows import diagonal_point
 from .ifs import IfsSystem, diameter_estimate, rounding_bound, sample_fractal
-from .lattices import _reduce, _witness, dual_basis, height
+from .lattices import _flow_walk, _witness, height
 
 _Q_CHUNK = 1 << 15
 # step in t of dani_cross_check's converse grid
@@ -178,30 +178,23 @@ def scan_hits(x, psi: ApproxFunction, q_max: int, x_exact: Sequence[Fraction] | 
 
 def _grid_walk(x: np.ndarray, ts: np.ndarray):
     """Shortest vectors of a_t u_x at the times ``ts``, which must be spaced
-    ``_GRID_STEP`` apart, walked along the diagonal flow.
+    ``_GRID_STEP`` apart, walked along the diagonal flow
+    (``lattices._flow_walk``).
 
     Yields, per time, (Delta, U, coeffs) with U the integer rows taking the
     dual basis of a_t u_x to the reduced rows, and coeffs every minimizer
     w.r.t. the reduced rows, as ``lattices._reduce`` gives them.  Only the
-    first basis is built from a_t u_x and reduced cold.  The dual basis of
-    a_{t+h} u_x is that of a_t u_x times diag(e^-h, e^(h/d) I_d), which
-    commutes with an integer change of rows; so each later basis is the
-    previous reduced one scaled by that diagonal and re-reduced, as in
-    ``excursion.diagonal_heights``, and U is composed in Python ints.
+    first basis is reduced cold; each step's U is composed with the previous
+    ones in Python ints.
     """
     if not ts.size:
         return
-    d = x.size
-    step = np.array([math.exp(-_GRID_STEP)] + [math.exp(_GRID_STEP / d)] * d)
-    b = dual_basis(diagonal_point(x, float(ts[0])))
     u_total = None
-    for _ in range(ts.size):
-        reduced, u, delta, coeffs = _reduce(b)
+    for _, u, delta, coeffs in _flow_walk(x, float(ts[0]), _GRID_STEP, ts.size - 1):
         if u_total is not None:
             u = [[sum(map(mul, row, col)) for col in zip(*u_total)] for row in u]
         u_total = u
         yield delta, u_total, coeffs
-        b = np.asarray(reduced).reshape(b.shape) * step
 
 
 def dani_cross_check(

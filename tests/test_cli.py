@@ -222,6 +222,11 @@ def test_main_dani_non_finite_psi_exits_1(tmp_path, capsys, flag):
         (["approx", "--x", "1e400"], "too large for a float"),
         (["constants", "--n-max", "340"], "n = 340 is too large"),
         (["constants", "--n-max", "680"], "n = 340 is too large"),
+        (["dani", "--grid", ""], "truncation grid is empty"),
+        (["excursions", "--system", "cantor:6", "--points", "1", "--n-max", "3"],
+         "dimension 7 above certified range 6"),
+        (["simulate", "--system", "cantor:6", "--walks", "1", "--steps", "3"],
+         "dimension 7 above certified range 6"),
     ],
     ids=" ".join,
 )

@@ -233,9 +233,10 @@ def test_psi_from_r_beyond_float_resolution_of_the_tolerance():
 
 
 def test_psi_from_r_sends_each_round_to_r_in_one_call(monkeypatch):
-    # one r call at t0, one per doubling of the bracket, one per round of 63
-    # interior points and one at the root: 1 + 10 + 9 + 1 at x = 1e200, where
-    # t is near 576
+    # one r call at t0, one at the bracket's upper end, one per round of 63
+    # interior points and one at the root: 1 + 1 + 9 + 1 at x = 1e200, where
+    # t is near 576.  At a + b = 10 the slope bound lets the bracket reach 11
+    # times as far, which costs one round more.
     calls = []
     r_from_psi = dani.r_from_psi
 
@@ -244,9 +245,11 @@ def test_psi_from_r_sends_each_round_to_r_in_one_call(monkeypatch):
         return r_from_psi(psi, d, t)
 
     monkeypatch.setattr(dani, "r_from_psi", counted)
-    for c, a, b, d in [(1.0, 1.5, 0.0, 1), (0.8, 1.2, 1.5, 2)]:
+    for c, a, b, d, most_far in [
+        (1.0, 1.5, 0.0, 1, 12), (0.8, 1.2, 1.5, 2, 12), (2.0, 0.0, 10.0, 2, 13)
+    ]:
         rate = RateFunction(ApproxFunction.power_log(c, a, b), d)
-        for x, most in [(3.0, 12), (1e8, 16), (1e200, 21)]:
+        for x, most in [(3.0, 11), (1e8, 12), (1e200, most_far)]:
             calls.clear()
             assert dani.psi_from_r(rate, x) == pytest.approx(rate.psi(x), rel=1e-12)
             assert len(calls) <= most
@@ -327,6 +330,10 @@ def test_equivalence_ratio_for_affine_rate():
     assert rep.truncations == (10.0, 20.0, 40.0, 60.0)
     with pytest.raises(ValueError, match="truncation"):
         dani.equivalence_check(psi, 1, 1.0, grid=(0.0,))
+    # an empty grid has no partial to compare; it fails by name, not in max()
+    for grid in ((), []):
+        with pytest.raises(ValueError, match="truncation grid is empty"):
+            dani.equivalence_check(psi, 1, 1.0, grid=grid)
 
 
 # (c, a, b, x0, d): b = 0 and b > 0, d = 1..3, x0 = 1 and 5

@@ -166,6 +166,23 @@ def test_diagonal_lagrange_guard_raises(monkeypatch):
         excursion.diagonal_heights(x, 1 / 3, 20)
 
 
+def test_walks_keep_to_the_certified_dimension_range():
+    # d = 6 reduces 7x7 bases, past lattices.DIMENSION_LIMIT; d = 5 runs
+    for d, raises in ((5, False), (6, True)):
+        sys = ifs.cantor_product(d)
+        word = np.arange(3) % sys.alphabet_size
+        runs = (
+            lambda: excursion.walk_heights(sys, word),
+            lambda: excursion.diagonal_heights(np.full(d, 0.25), 1 / 3, 1),
+        )
+        for run in runs:
+            if raises:
+                with pytest.raises(ValueError, match="dimension 7 above certified range 6"):
+                    run()
+            else:
+                assert np.all(np.isfinite(run()))
+
+
 def test_walk_heights_survive_long_trajectories():
     # direct matrices overflow near t ~ 1465; the reduced walker must not
     sys = ifs.cantor_product(1)

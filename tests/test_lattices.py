@@ -18,6 +18,33 @@ def random_unimodular(rng, k, shears=6):
     return u
 
 
+def test_reductions_keep_to_the_certified_dimension_range():
+    # one rule for every reduction: shortest_of_basis and the walks both
+    # go through lattices._reduce
+    assert lattices.shortest_of_basis(np.eye(lattices.DIMENSION_LIMIT))[0] == 1.0
+    with pytest.raises(ValueError, match="dimension 7 above certified range 6"):
+        lattices.shortest_of_basis(np.eye(7))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_dual_basis_at_time_zero_is_the_unipotent_start(d):
+    # the walks along the flow start from dual_basis(diagonal_point(x, 0));
+    # it is [[1, x], [0, I]] entry for entry (+0 and -0 compare equal)
+    rng = np.random.default_rng(d)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 0.5, -1.0, 1e300, -1e300]
+    xs = [rng.random(d) for _ in range(200)]
+    xs += [rng.standard_normal(d) * 10.0 ** rng.integers(-300, 300, d) for _ in range(200)]
+    xs += [rng.choice(special, d) for _ in range(200)]
+    for x in xs:
+        start = np.eye(d + 1)
+        start[0, 1:] = x
+        assert np.array_equal(lattices.dual_basis(flows.diagonal_point(x, 0.0)), start)
+    x = np.full(d, 0.5)
+    x[-1] = 1e301
+    with pytest.raises(flows.TrajectoryOverflowError):
+        lattices.dual_basis(flows.diagonal_point(x, 0.0))
+
+
 def test_identity_lattice():
     delta, witness = lattices.shortest_of_basis(np.eye(3))
     assert delta == 1.0
