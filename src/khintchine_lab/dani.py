@@ -28,6 +28,10 @@ RESIDUAL_FACTOR = 8.0
 BORDERLINE_TOL = 1e-12
 # psi_from_r cuts its t-interval into 2**_T_LEVELS cells per array call of r
 _T_LEVELS = 6
+# Most unit panels a truncation of equivalence_check may lie above t0: every
+# panel below the largest truncation is one lockstep rate call's 20 nodes,
+# about 4.8 KB and 0.1 ms per panel, so 20,000 panels hold about 100 MB
+PANEL_LIMIT = 20_000
 
 # The 20-point Gauss-Legendre rule on [-1, 1]: the positive roots of P_20 and
 # their weights, each rounded to nearest from a 60-digit mpmath Newton
@@ -372,6 +376,11 @@ def equivalence_check(
     for big_t in grid:
         if big_t <= t0:
             raise ValueError(f"truncation {big_t} not above t0 = {t0:.6g}")
+        if big_t - t0 > PANEL_LIMIT:
+            raise ValueError(
+                f"truncation {big_t} lies {big_t - t0:.6g} unit panels above t0 = {t0:.6g}, "
+                f"past the limit of {PANEL_LIMIT}"
+            )
     r0, *r_grid = rate(np.array([t0, *grid])).tolist()
     # x = e^u: x^(alpha/d - 1) psi(x)^alpha dx = e^(u alpha/d + alpha log psi(e^u)) du
     i_psi = _exp_partials(

@@ -106,9 +106,9 @@ def _gram(rows: list, start: int = 0, data: tuple | None = None) -> tuple[list, 
     return mu, norms, stars
 
 
-# (rows, Gram-Schmidt data) of the last basis lll_reduce returned: the
-# enumeration of that basis reuses the data instead of recomputing it
-_last_reduced: list = [None, None]
+# (rows, mu, norms) of the last basis lll_reduce returned: the enumeration
+# of that basis reuses its Gram-Schmidt data instead of recomputing it
+_last_reduced: list = [None, None, None]
 
 
 def lll_reduce(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,9 +121,17 @@ def lll_reduce(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (round(mu) and the Lovasz test) reads that data, which is plain IEEE
     doubles with each dot product correctly rounded by ``math.fsum``; so the
     decisions, ties included, and the reduced floats are the same on every
-    IEEE platform whatever BLAS numpy uses.
+    IEEE platform whatever BLAS numpy uses.  Three rows run ``_lll_3``, the
+    loop unrolled, and any other number ``_lll_loop``: same floats.
     """
     b = np.asarray(basis, dtype=float).tolist()
+    b, u = (_lll_3 if len(b) == 3 else _lll_loop)(b)
+    return np.array(b), np.array(u, dtype=np.int64)
+
+
+def _lll_loop(b: list) -> tuple[list, list]:
+    """``lll_reduce`` on the rows ``b`` (lists of floats, changed in place):
+    the reduced rows and the rows of U, as lists."""
     k = len(b)
     u = [[int(i == j) for j in range(k)] for i in range(k)]
     data = _gram(b)
@@ -154,8 +162,92 @@ def lll_reduce(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             u[i - 1], u[i] = u[i], u[i - 1]
             _gram(b, i - 1, data)
             i = max(i - 1, 1)
-    _last_reduced[:] = [b, data]
-    return np.array(b), np.array(u, dtype=np.int64)
+    _last_reduced[:] = [b, mu, norms]
+    return b, u
+
+
+def _gram_row1(b: list, s0: list, n0: float) -> tuple[float, tuple, float]:
+    """``_gram``'s row 1 of three: mu[1][0], b*_1 and |b*_1|^2."""
+    b0, b1, b2 = b
+    if n0 > SINGULAR_TOL:
+        x, y, z = s0
+        m = math.fsum((b0 * x, b1 * y, b2 * z)) / n0
+        b0, b1, b2 = b0 - m * x, b1 - m * y, b2 - m * z
+    else:
+        m = 0.0
+    return m, (b0, b1, b2), math.fsum((b0 * b0, b1 * b1, b2 * b2))
+
+
+def _gram_row2(c: list, s0: list, n0: float, s1: tuple, n1: float) -> tuple[float, float, float]:
+    """``_gram``'s row 2 of three: mu[2][0], mu[2][1] and |b*_2|^2."""
+    c0, c1, c2 = c
+    v0, v1, v2 = c
+    m0 = m1 = 0.0
+    if n0 > SINGULAR_TOL:
+        x, y, z = s0
+        m0 = math.fsum((c0 * x, c1 * y, c2 * z)) / n0
+        v0, v1, v2 = v0 - m0 * x, v1 - m0 * y, v2 - m0 * z
+    if n1 > SINGULAR_TOL:
+        x, y, z = s1
+        m1 = math.fsum((c0 * x, c1 * y, c2 * z)) / n1
+        v0, v1, v2 = v0 - m1 * x, v1 - m1 * y, v2 - m1 * z
+    return m0, m1, math.fsum((v0 * v0, v1 * v1, v2 * v2))
+
+
+def _lll_3(b: list) -> tuple[list, list]:
+    """``_lll_loop`` on three rows, unrolled: i is 1 or 2, and the
+    Gram-Schmidt data lives in locals (b*_0 is row 0 itself, and b*_2 is
+    needed only for its norm).  Every float operation, skip and decision is
+    the loop's, in the loop's order, so the rows, U, mu and norms are its
+    floats bit for bit."""
+    r0, r1, r2 = b
+    u0, u1, u2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    n0 = math.fsum((r0[0] * r0[0], r0[1] * r0[1], r0[2] * r0[2]))
+    m10, s1, n1 = _gram_row1(r1, r0, n0)
+    m20, m21, n2 = _gram_row2(r2, r0, n0, s1, n1)
+    if min(n0, n1, n2) < SINGULAR_TOL:
+        raise ValueError("numerically singular basis")
+    i = 1
+    iterations = 0
+    while i < 3:
+        iterations += 1
+        if iterations > LLL_ITERATION_LIMIT:
+            raise ReductionGuardError(
+                f"LLL stopped after {LLL_ITERATION_LIMIT} iterations"
+            )
+        if i == 1:
+            q = round(m10)
+            if q:
+                r1 = [r1[0] - q * r0[0], r1[1] - q * r0[1], r1[2] - q * r0[2]]
+                u1 = (u1[0] - q * u0[0], u1[1] - q * u0[1], u1[2] - q * u0[2])
+                m10, s1, n1 = _gram_row1(r1, r0, n0)
+                m20, m21, n2 = _gram_row2(r2, r0, n0, s1, n1)
+            if n1 >= (0.99 - m10 ** 2) * n0:
+                i = 2
+                continue
+            r0, r1, u0, u1 = r1, r0, u1, u0
+            n0 = math.fsum((r0[0] * r0[0], r0[1] * r0[1], r0[2] * r0[2]))
+        else:
+            # j = 1, then j = 0, both with the mu from before the pass
+            q1, q0 = round(m21), round(m20)
+            if q1:
+                r2 = [r2[0] - q1 * r1[0], r2[1] - q1 * r1[1], r2[2] - q1 * r1[2]]
+                u2 = (u2[0] - q1 * u1[0], u2[1] - q1 * u1[1], u2[2] - q1 * u1[2])
+            if q0:
+                r2 = [r2[0] - q0 * r0[0], r2[1] - q0 * r0[1], r2[2] - q0 * r0[2]]
+                u2 = (u2[0] - q0 * u0[0], u2[1] - q0 * u0[1], u2[2] - q0 * u0[2])
+            if q1 or q0:
+                m20, m21, n2 = _gram_row2(r2, r0, n0, s1, n1)
+            if n2 >= (0.99 - m21 ** 2) * n1:
+                break
+            r1, r2, u1, u2 = r2, r1, u2, u1
+            i = 1
+        # a swap: the data from the lower of the two swapped rows up
+        m10, s1, n1 = _gram_row1(r1, r0, n0)
+        m20, m21, n2 = _gram_row2(r2, r0, n0, s1, n1)
+    b = [r0, r1, r2]
+    _last_reduced[:] = [b, [[0.0, 0.0, 0.0], [m10, 0.0, 0.0], [m20, m21, 0.0]], [n0, n1, n2]]
+    return b, [u0, u1, u2]
 
 
 def _enumerate_sup(reduced: np.ndarray) -> tuple[float, list[tuple]]:
@@ -167,15 +259,22 @@ def _enumerate_sup(reduced: np.ndarray) -> tuple[float, list[tuple]]:
     distance to the projected center), so a level stops at its first child
     outside the ball.  A leaf's sup norm is taken in plain floats, its vector
     accumulated from level k-1 down to 0, and Delta is the smallest of them.
+    Three rows run ``_search_3``, the search as three nested loops, and any
+    other number ``_search_loop``: same floats, same leaves in the same order.
     """
     rows = reduced.tolist()
-    k = len(rows)
     if rows == _last_reduced[0]:
-        mu, norms, _ = _last_reduced[1]
+        _, mu, norms = _last_reduced
     else:
         mu, norms, _ = _gram(rows)
     if min(norms) < SINGULAR_TOL:
         raise ValueError("numerically singular basis")
+    return (_search_3 if len(rows) == 3 else _search_loop)(rows, mu, norms)
+
+
+def _search_loop(rows: list, mu: list, norms: list) -> tuple[float, list[tuple]]:
+    """``_enumerate_sup`` on the reduced rows and their Gram-Schmidt data."""
+    k = len(rows)
     row_sups = [max(map(abs, row)) for row in rows]
     best = min(row_sups)
     # (sup, coeffs); seeded with the minimal rows
@@ -223,6 +322,71 @@ def _enumerate_sup(reduced: np.ndarray) -> tuple[float, list[tuple]]:
     visit(k - 1, 0.0, [0.0] * k, True)
     # a minimal row is found again by the search
     return best, list(dict.fromkeys(c for s, c in leaves if s == best))
+
+
+def _search_3(rows: list, mu: list, norms: list) -> tuple[float, list[tuple]]:
+    """``_search_loop`` on three rows as three nested loops over x2, x1, x0,
+    with ``visit``'s centers, partial norms, zig-zag order and pruning.
+    Level 2 is always the top (center 0, x2 = 0, 1, ...).  The level-2
+    vector is x2 * row 2 where ``visit`` adds it to 0.0: they differ at most
+    in the sign of a zero, which every later sum carries only into a zero
+    and the leaf's abs removes."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+    n0, n1, n2 = norms
+    m10 = mu[1][0]
+    m20, m21 = mu[2][0], mu[2][1]
+    sa = max(abs(a0), abs(a1), abs(a2))
+    sb = max(abs(b0), abs(b1), abs(b2))
+    sc = max(abs(c0), abs(c1), abs(c2))
+    best = min(sa, sb, sc)
+    leaves = [(s, c) for s, c in ((sa, (1, 0, 0)), (sb, (0, 1, 0)), (sc, (0, 0, 1))) if s == best]
+    ball = 3 * BALL_INFLATION
+    bound = ball * best * best
+    x2 = 0
+    while True:
+        p2 = 0.0 + n2 * (x2 - 0.0) ** 2
+        if p2 > bound:
+            return best, list(dict.fromkeys(c for s, c in leaves if s == best))
+        w0, w1, w2 = x2 * c0, x2 * c1, x2 * c2
+        top1 = x2 == 0
+        center1 = 0.0 - m21 * x2
+        x1 = round(center1)
+        step1 = 1 if top1 or center1 >= x1 else -1
+        k1 = 0
+        while True:
+            p1 = p2 + n1 * (x1 - center1) ** 2
+            if p1 > bound:
+                break
+            v0, v1, v2 = w0 + x1 * b0, w1 + x1 * b1, w2 + x1 * b2
+            top0 = top1 and x1 == 0
+            center0 = 0.0 - m10 * x1 - m20 * x2
+            x0 = round(center0)
+            step0 = 1 if top0 or center0 >= x0 else -1
+            k0 = 0
+            while True:
+                p0 = p1 + n0 * (x0 - center0) ** 2
+                if p0 > bound:
+                    break
+                if x0 or not top0:
+                    s = max(abs(v0 + x0 * a0), abs(v1 + x0 * a1), abs(v2 + x0 * a2))
+                    if s <= best:
+                        leaves.append((s, (x0, x1, x2)))
+                        if s < best:
+                            best = s
+                            bound = ball * best * best
+                k0 += 1
+                if top0:
+                    x0 += 1
+                else:
+                    x0 += step0 * k0
+                    step0 = -step0
+            k1 += 1
+            if top1:
+                x1 += 1
+            else:
+                x1 += step1 * k1
+                step1 = -step1
+        x2 += 1
 
 
 # Lagrange-reduced 2x2 bases: every sup minimizer is among b1, b2, b1 +/- b2

@@ -223,6 +223,7 @@ def test_main_dani_non_finite_psi_exits_1(tmp_path, capsys, flag):
         (["constants", "--n-max", "340"], "n = 340 is too large"),
         (["constants", "--n-max", "680"], "n = 340 is too large"),
         (["dani", "--grid", ""], "truncation grid is empty"),
+        (["dani", "--grid", "1e6"], "past the limit of 20000"),
         (["excursions", "--system", "cantor:6", "--points", "1", "--n-max", "3"],
          "dimension 7 above certified range 6"),
         (["simulate", "--system", "cantor:6", "--walks", "1", "--steps", "3"],

@@ -424,5 +424,22 @@ def test_partials_share_panels_across_truncations():
             assert alone.i_psi[0] == whole.i_psi[i]
 
 
+def test_equivalence_check_refuses_truncations_past_the_panel_limit(monkeypatch):
+    # the limit is checked against each truncation's distance from t0, before
+    # any rate call or panel array; a truncation at the limit still runs
+    psi = ApproxFunction.power_log(3.0, 1.5)
+    t0 = dani.t0_of(psi, 2)
+    assert t0 < 0.0
+    monkeypatch.setattr(dani, "PANEL_LIMIT", 30)
+    dani.equivalence_check(psi, 2, 1.0, grid=(10.0, t0 + 30.0))
+
+    def no_rate(self, t):
+        raise AssertionError("rate called")
+
+    monkeypatch.setattr(RateFunction, "__call__", no_rate)
+    with pytest.raises(ValueError, match=r"lies 30\.5 unit panels .* past the limit of 30"):
+        dani.equivalence_check(psi, 2, 1.0, grid=(10.0, t0 + 30.5))
+
+
 def test_invalid_psi_error_is_value_error():
     assert issubclass(InvalidPsiError, ValueError)

@@ -114,6 +114,24 @@ def test_walk_heights_rows_at_d2():
         np.testing.assert_array_equal(row, excursion.walk_heights(sys, word, start=x))
 
 
+def test_k3_kernel_trajectories_are_the_general_loops(monkeypatch):
+    # d = 2 orbits and walks on the unrolled k = 3 kernel, then with the
+    # general list loop in its place: the same floats at every step
+    sys = ifs.cantor_product(2)
+    xs = ifs.sample_fractal(sys, 3, seed=23)
+    words = np.random.default_rng(23).integers(0, sys.alphabet_size, size=(3, 400))
+
+    def heights():
+        orbits = [excursion.diagonal_heights(x, sys.kappa, 200, refine=4) for x in xs]
+        return np.concatenate([*orbits, excursion.walk_heights(sys, words).ravel()])
+
+    kernel = heights()
+    monkeypatch.setattr(lattices, "_lll_3", lattices._lll_loop)
+    monkeypatch.setattr(lattices, "_search_3", lattices._search_loop)
+    assert kernel.size == 3 * 801 + 3 * 400
+    assert kernel.tobytes() == heights().tobytes()
+
+
 def test_lockstep_reduce_matches_scalar_lagrange():
     # lockstep passes against the scalar loop (Python's round): exact
     # half-integer ties, skewed bases needing many passes, random ones

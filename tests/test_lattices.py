@@ -291,12 +291,83 @@ def test_enumerated_sup_is_the_plain_float_sup():
     assert lattices.shortest_of_basis(pinned)[0] == 0.7233347073165526
 
 
+def _k3_route(basis, general: bool):
+    """lll_reduce then _enumerate_sup of ``basis``, on the k = 3 kernel or
+    with the general list loop in its place: reduced rows, U, mu, norms,
+    Delta and the coefficient list, or the error raised."""
+    with pytest.MonkeyPatch.context() as mp:
+        if general:
+            mp.setattr(lattices, "_lll_3", lattices._lll_loop)
+            mp.setattr(lattices, "_search_3", lattices._search_loop)
+        try:
+            reduced, u = lattices.lll_reduce(basis)
+            _, mu, norms = lattices._last_reduced
+            delta, coeffs = lattices._enumerate_sup(reduced)
+        except (ValueError, ArithmeticError, lattices.ReductionGuardError) as exc:
+            return repr(exc)
+    # repr tells every float apart, -0.0 from 0.0 included
+    return repr((reduced.tolist(), u.tolist(), mu, norms, delta, coeffs))
+
+
+def _k3_bases(rng) -> list:
+    """Skewed d = 2 diagonal-flow bases under random unimodular shears,
+    half-integer bases (round(mu) = 1/2 ties), bases near the singular
+    tolerance and the float range or with a non-finite entry (both paths
+    must raise the same error) and the tied k = 3 bases."""
+    bases = []
+    for _ in range(2000):
+        g = flows.diagonal_point(rng.random(2), rng.uniform(0.0, 8.0))
+        shear = random_unimodular(rng, 3, shears=int(rng.integers(0, 7)))
+        bases.append(shear.astype(float) @ lattices.dual_basis(g))
+    while len(bases) < 2600:
+        basis = rng.integers(-5, 6, size=(3, 3)) / 2.0
+        if abs(np.linalg.det(basis)) > 0.1:
+            bases.append(basis)
+    for _ in range(400):
+        # unit upper triangle: the first mu are the half-integers themselves
+        basis = np.eye(3)
+        basis[np.triu_indices(3, 1)] = rng.integers(-3, 3, size=3) + 0.5
+        shear = random_unimodular(rng, 3, shears=int(rng.integers(0, 3)))
+        bases.append(shear.astype(float) @ basis[::-1])
+    for scale in (1e-130, 1e-125, 1e-120, 1e150, 1e160, 1e200):
+        bases += [rng.normal(size=(3, 3)) * scale for _ in range(40)]
+    for bad in (math.nan, math.inf, -math.inf):
+        for _ in range(5):
+            basis = rng.normal(size=(3, 3))
+            basis[tuple(rng.integers(0, 3, size=2))] = bad
+            bases.append(basis)
+    return bases + [b for b in TIED_BASES if len(b) == 3]
+
+
+def test_k3_kernel_is_the_general_loop_bit_for_bit():
+    # the unrolled reduction and the nested-loop search make the general
+    # loop's decisions on the same floats, in the same order
+    for basis in _k3_bases(np.random.default_rng(2023)):
+        assert _k3_route(basis, False) == _k3_route(basis, True)
+
+
 def test_lll_guard_raises(monkeypatch):
-    basis = np.array([[1.0, 0.0, 0.0], [7.3, 1.0, 0.0], [2.1, 5.7, 1.0]])
-    lattices.lll_reduce(basis)
-    monkeypatch.setattr(lattices, "LLL_ITERATION_LIMIT", 1)
-    with pytest.raises(lattices.ReductionGuardError):
+    # k = 3 runs the unrolled kernel, k = 4 the general loop
+    bases = [np.array([[1.0, 0.0, 0.0], [7.3, 1.0, 0.0], [2.1, 5.7, 1.0]])]
+    bases.append(np.array([[1.0, 0, 0, 0], [7.3, 1, 0, 0], [2.1, 5.7, 1, 0], [-4.4, 0.9, 0, 1]]))
+    for basis in bases:
         lattices.lll_reduce(basis)
+    monkeypatch.setattr(lattices, "LLL_ITERATION_LIMIT", 1)
+    for basis in bases:
+        with pytest.raises(lattices.ReductionGuardError):
+            lattices.lll_reduce(basis)
+
+
+def test_singular_3x3_raises():
+    # row 1 is twice row 0: b*_1 is a numerically zero vector
+    singular = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="numerically singular"):
+        lattices.shortest_of_basis(singular)
+    # a walk that steps onto a singular basis: a zero column
+    walk = lattices._walk(np.eye(3), [np.array([1.0, 0.0, 1.0])])
+    next(walk)
+    with pytest.raises(ValueError, match="numerically singular"):
+        next(walk)
 
 
 def test_lagrange_guard_raises(monkeypatch):
