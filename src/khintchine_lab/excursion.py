@@ -19,7 +19,7 @@ import numpy as np
 
 from .flows import diag_time, similarity_to_group
 from .ifs import IfsSystem, sample_words
-from .lattices import CompactWindow, _flow_walk, _reduced_sups, _times, _walk
+from .lattices import CompactWindow, _flow_walk, _product, _reduced_sups, _times, _walk
 
 # tail_report draws and walks this many walks at a time, which bounds the
 # words and heights it holds at once (16 bytes per walk step)
@@ -125,9 +125,10 @@ def walk_heights(sys: IfsSystem, word: Sequence[int] | np.ndarray, start=None) -
     if d == 1:
         out = _lagrange_walks(bases, steps, rows)
     else:
+        columns = [m.T.tolist() for m in steps]
         out = np.empty(rows.shape)
         for heights, basis, row in zip(out, bases, rows):
-            walk = _walk(basis, [steps[s] for s in row], _times)
+            walk = _walk(basis, [columns[s] for s in row.tolist()], _product)
             heights[:] = [-math.log(delta) for _, _, delta, _ in islice(walk, 1, None)]
     return out.reshape(words.shape)
 

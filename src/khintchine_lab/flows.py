@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 import mpmath
 import numpy as np
 
-from .ifs import IfsSystem, SimilarityMap, _freeze
+from .ifs import IfsSystem, SimilarityMap, _freeze, sample_words
 
 DET_RENORM_TOL = 1e-11
 P_SHAPE_TOL = 1e-10
@@ -241,7 +241,7 @@ def shadowing_identity_residual(sys: IfsSystem, seed: int, n: int, tail: int = 4
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    word = rng.choice(sys.alphabet_size, size=n + tail, p=sys.weights)
+    word = sample_words(sys, n + tail, 1, rng)[0]
     d = sys.dimension
     with mpmath.workdps(60):
         kappa = mpmath.mpf(sys.kappa)

@@ -113,7 +113,8 @@ class IfsSystem:
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if w.shape != (len(maps),):
             raise ValueError("need exactly one weight per map")
-        if np.any(w <= 0):
+        # not any(w <= 0), which a nan weight passes
+        if not np.all(w > 0):
             raise ValueError("weights must be strictly positive")
         if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
@@ -208,13 +209,37 @@ def coding_point(sys: IfsSystem, word: Sequence[int]) -> tuple[np.ndarray, float
     return p, bound
 
 
+# Uniforms sample_words draws at a time: its only temporaries beside the words
+_WORD_BLOCK = 1 << 15
+
+
 def sample_words(
     sys: IfsSystem, depth: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """i.i.d. symbol words, one row per sample, drawn with the system weights."""
+    """i.i.d. symbol words, one row per sample, drawn with the system weights.
+
+    The words of ``rng.choice(alphabet_size, size=(count, depth), p=weights)``,
+    leaving ``rng`` where it leaves it: the same uniforms in the same
+    row-major order, drawn a block of rows at a time, and each mapped to
+    ``searchsorted(cdf, u, side='right')``, the number of boundaries of the
+    normalised cdf at or below it.  The array is column-major, so that one
+    letter of every word is a contiguous column.
+    """
     if depth < 1 or count < 1:
         raise ValueError("depth and count must be positive")
-    return rng.choice(sys.alphabet_size, size=(count, depth), p=sys.weights)
+    cdf = np.cumsum(sys.weights)
+    cdf /= cdf[-1]
+    # u < 1 = cdf[-1]: the last boundary never counts
+    boundaries = cdf[:-1].tolist()
+    words = np.empty((count, depth), dtype=np.int64, order="F")
+    rows = max(1, _WORD_BLOCK // depth)
+    for first in range(0, count, rows):
+        u = rng.random((min(rows, count - first), depth))
+        block = np.zeros(u.shape, dtype=np.int64)
+        for c in boundaries:
+            block += u >= c
+        words[first : first + len(u)] = block
+    return words
 
 
 def _is_horner(sys: IfsSystem) -> bool:

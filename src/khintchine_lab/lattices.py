@@ -17,7 +17,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
@@ -124,14 +124,20 @@ def lll_reduce(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     IEEE platform whatever BLAS numpy uses.  Three rows run ``_lll_3``, the
     loop unrolled, and any other number ``_lll_loop``: same floats.
     """
-    b = np.asarray(basis, dtype=float).tolist()
-    b, u = (_lll_3 if len(b) == 3 else _lll_loop)(b)
+    b, u, mu, norms = _lll(np.asarray(basis, dtype=float).tolist())
+    _last_reduced[:] = [b, mu, norms]
     return np.array(b), np.array(u, dtype=np.int64)
 
 
-def _lll_loop(b: list) -> tuple[list, list]:
+def _lll(b: list) -> tuple[list, list, list, list]:
     """``lll_reduce`` on the rows ``b`` (lists of floats, changed in place):
-    the reduced rows and the rows of U, as lists."""
+    the reduced rows, the rows of U, and the reduced rows' Gram-Schmidt mu
+    and norms, as lists."""
+    return (_lll_3 if len(b) == 3 else _lll_loop)(b)
+
+
+def _lll_loop(b: list) -> tuple[list, list, list, list]:
+    """``_lll`` on any number of rows."""
     k = len(b)
     u = [[int(i == j) for j in range(k)] for i in range(k)]
     data = _gram(b)
@@ -162,8 +168,7 @@ def _lll_loop(b: list) -> tuple[list, list]:
             u[i - 1], u[i] = u[i], u[i - 1]
             _gram(b, i - 1, data)
             i = max(i - 1, 1)
-    _last_reduced[:] = [b, mu, norms]
-    return b, u
+    return b, u, mu, norms
 
 
 def _gram_row1(b: list, s0: list, n0: float) -> tuple[float, tuple, float]:
@@ -194,7 +199,7 @@ def _gram_row2(c: list, s0: list, n0: float, s1: tuple, n1: float) -> tuple[floa
     return m0, m1, math.fsum((v0 * v0, v1 * v1, v2 * v2))
 
 
-def _lll_3(b: list) -> tuple[list, list]:
+def _lll_3(b: list) -> tuple[list, list, list, list]:
     """``_lll_loop`` on three rows, unrolled: i is 1 or 2, and the
     Gram-Schmidt data lives in locals (b*_0 is row 0 itself, and b*_2 is
     needed only for its norm).  Every float operation, skip and decision is
@@ -245,9 +250,8 @@ def _lll_3(b: list) -> tuple[list, list]:
         # a swap: the data from the lower of the two swapped rows up
         m10, s1, n1 = _gram_row1(r1, r0, n0)
         m20, m21, n2 = _gram_row2(r2, r0, n0, s1, n1)
-    b = [r0, r1, r2]
-    _last_reduced[:] = [b, [[0.0, 0.0, 0.0], [m10, 0.0, 0.0], [m20, m21, 0.0]], [n0, n1, n2]]
-    return b, [u0, u1, u2]
+    mu = [[0.0, 0.0, 0.0], [m10, 0.0, 0.0], [m20, m21, 0.0]]
+    return [r0, r1, r2], [u0, u1, u2], mu, [n0, n1, n2]
 
 
 def _enumerate_sup(reduced: np.ndarray) -> tuple[float, list[tuple]]:
@@ -267,13 +271,18 @@ def _enumerate_sup(reduced: np.ndarray) -> tuple[float, list[tuple]]:
         _, mu, norms = _last_reduced
     else:
         mu, norms, _ = _gram(rows)
+    return _search(rows, mu, norms)
+
+
+def _search(rows: list, mu: list, norms: list) -> tuple[float, list[tuple]]:
+    """``_enumerate_sup`` on the reduced rows and their Gram-Schmidt data."""
     if min(norms) < SINGULAR_TOL:
         raise ValueError("numerically singular basis")
     return (_search_3 if len(rows) == 3 else _search_loop)(rows, mu, norms)
 
 
 def _search_loop(rows: list, mu: list, norms: list) -> tuple[float, list[tuple]]:
-    """``_enumerate_sup`` on the reduced rows and their Gram-Schmidt data."""
+    """``_search`` on any number of rows."""
     k = len(rows)
     row_sups = [max(map(abs, row)) for row in rows]
     best = min(row_sups)
@@ -486,21 +495,31 @@ def _reduced_sups(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reduce(basis: np.ndarray) -> tuple:
-    """Reduced form of a row basis (its entries, row by row, for 2x2), the
-    rows of U with reduced = U @ basis, the sup norm Delta of its shortest
-    vector and every coefficient vector w.r.t. the reduced rows that attains
-    it (one of each +-pair): Lagrange and the candidate scan for 2x2, LLL and
-    enumeration above, up to ``DIMENSION_LIMIT`` rows for every caller."""
+    """Reduced rows of a row basis (lists of floats), the rows of U with
+    reduced = U @ basis, the sup norm Delta of its shortest vector and every
+    coefficient vector w.r.t. the reduced rows that attains it (one of each
+    +-pair): Lagrange and the candidate scan for 2x2, LLL (``lll_reduce``)
+    and enumeration above, up to ``DIMENSION_LIMIT`` rows for every caller."""
     k = len(basis)
-    if k == 2:
-        rows, u = _lagrange_2x2(*basis.ravel().tolist())
-        delta, coeffs = _sup_2x2(*rows)
-        return rows, u, delta, coeffs
     if k > DIMENSION_LIMIT:
         raise ValueError(f"dimension {k} above certified range {DIMENSION_LIMIT}")
+    if k == 2:
+        return _reduce_rows(basis.tolist())
     reduced, u = lll_reduce(basis)
     delta, coeffs = _enumerate_sup(reduced)
-    return reduced, u.tolist(), delta, coeffs
+    return reduced.tolist(), u.tolist(), delta, coeffs
+
+
+def _reduce_rows(rows: list) -> tuple:
+    """``_reduce`` of a basis given as lists of floats (changed in place) on
+    the same kernels, with no ndarray on the way: the search reads the mu and
+    norms that the reduction has just computed."""
+    if len(rows) == 2:
+        (m00, m01), (m10, m11) = rows
+        reduced, u = _lagrange_2x2(m00, m01, m10, m11)
+        return [reduced[:2], reduced[2:]], u, *_sup_2x2(*reduced)
+    reduced, u, mu, norms = _lll(rows)
+    return reduced, u, *_search(reduced, mu, norms)
 
 
 def _times(b: np.ndarray, s) -> np.ndarray:
@@ -514,16 +533,33 @@ def _times(b: np.ndarray, s) -> np.ndarray:
     return out
 
 
-def _walk(basis: np.ndarray, factors, times=np.multiply):
-    """Yields ``_reduce`` of ``basis``, then of each reduced basis times the
-    next of ``factors``, which act on the right and so commute with the
-    integer change of rows.  ``np.multiply`` scales columns by a diagonal
-    given as its entries (the off-diagonal products of B @ diag are exact
-    zeros); ``_times`` multiplies by a step matrix."""
+def _scaled(rows: list, diagonal: list) -> list:
+    """The rows times the diagonal matrix with entries ``diagonal``: each
+    column scaled by its entry, the products ``np.multiply`` makes (the
+    off-diagonal products of B @ diag are exact zeros)."""
+    return [list(map(mul, row, diagonal)) for row in rows]
+
+
+def _product(rows: list, columns: list) -> list:
+    """The rows times the matrix with columns ``columns``, each entry summed
+    left to right as ``_times`` sums it (three columns, written out, take a
+    third of the time of the general fold)."""
+    if len(columns) == 3:
+        return [[a * x + b * y + c * z for x, y, z in columns] for a, b, c in rows]
+    return [[functools.reduce(add, map(mul, row, col)) for col in columns] for row in rows]
+
+
+def _walk(basis: np.ndarray, factors, times=_scaled):
+    """Yields ``_reduce`` of ``basis``, then ``_reduce_rows`` of each reduced
+    basis times the next of ``factors``, which act on the right and so
+    commute with the integer change of rows.  Only the start is an ndarray
+    (and goes through ``lll_reduce`` above 2x2); from there the rows stay
+    lists of Python floats.  ``_scaled`` multiplies by a diagonal given as its
+    entries, ``_product`` by a step matrix given as its columns."""
     reduced = _reduce(basis)
     yield reduced
     for factor in factors:
-        reduced = _reduce(times(np.asarray(reduced[0]).reshape(basis.shape), factor))
+        reduced = _reduce_rows(times(reduced[0], factor))
         yield reduced
 
 
@@ -531,7 +567,7 @@ def _flow_walk(x, t: float, h: float, n: int):
     """``_walk`` of the dual bases of a_s u_x at s = t, t + h, ..., t + n h,
     each the one before times diag(e^-h, e^(h/d) I_d)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    step = np.array([math.exp(-h)] + [math.exp(h / x.size)] * x.size)
+    step = [math.exp(-h)] + [math.exp(h / x.size)] * x.size
     return _walk(dual_basis(diagonal_point(x, t)), itertools.repeat(step, n))
 
 

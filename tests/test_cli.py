@@ -228,11 +228,18 @@ def test_main_dani_non_finite_psi_exits_1(tmp_path, capsys, flag):
          "dimension 7 above certified range 6"),
         (["simulate", "--system", "cantor:6", "--walks", "1", "--steps", "3"],
          "dimension 7 above certified range 6"),
+        (["excursions", "--system", "nan-weight.json", "--points", "2", "--n-max", "10"],
+         "weights must be strictly positive"),
     ],
     ids=" ".join,
 )
-def test_main_bad_argument_exits_1(tmp_path, capsys, argv, message):
-    # each of these either passed vacuously or ended in a traceback
+def test_main_bad_argument_exits_1(tmp_path, capsys, monkeypatch, argv, message):
+    # each of these either passed vacuously or ended in a traceback (a nan
+    # weight failed only inside numpy's sampler)
+    monkeypatch.chdir(tmp_path)
+    doc = ifs.system_to_json(ifs.cantor_product(1))
+    doc["weights"][0] = float("nan")
+    Path("nan-weight.json").write_text(json.dumps(doc))
     assert cli.main([*argv, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err

@@ -228,3 +228,37 @@ def test_weights_must_sum_to_one():
     maps = ifs.cantor_product(1).maps
     with pytest.raises(ValueError):
         ifs.IfsSystem(maps=maps, weights=np.array([0.7, 0.7]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -0.5])
+def test_weights_must_be_strictly_positive(bad):
+    # a nan weight fails "w <= 0" and the sum test alike
+    maps = ifs.cantor_product(1).maps
+    with pytest.raises(ValueError, match="strictly positive"):
+        ifs.IfsSystem(maps=maps, weights=np.array([bad, 0.5]))
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[1.0], [0.5, 0.5], [0.25] * 4, [0.9, 0.05, 0.03, 0.02], [0.1, 0.2, 0.3, 0.4], [1 / 3] * 3],
+    ids=str,
+)
+def test_sample_words_are_the_choice_words(monkeypatch, weights):
+    # the words of Generator.choice from the same uniforms, the generator
+    # left where choice leaves it, and one letter of every word contiguous
+    maps = tuple(ifs.SimilarityMap(1 / 3, np.eye(1), np.array([s / 3])) for s in range(len(weights)))
+    sys = ifs.IfsSystem(maps=maps, weights=np.array(weights))
+
+    def check(count, depth, seed):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        words = ifs.sample_words(sys, depth, count, ours)
+        expect = ref.choice(sys.alphabet_size, size=(count, depth), p=sys.weights)
+        assert words.dtype == expect.dtype and np.array_equal(words, expect)
+        assert words.flags.f_contiguous
+        assert ours.random() == ref.random()
+
+    check(3000, 66, 0)  # 496 rows a block, and 3000 is no multiple of it
+    monkeypatch.setattr(ifs, "_WORD_BLOCK", 60)
+    # one row; 6 rows a block, 23 rows; a row longer than a block
+    for seed, (count, depth) in enumerate([(1, 5), (23, 9), (4, 200), (60, 1)]):
+        check(count, depth, seed)

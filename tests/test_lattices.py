@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
-from khintchine_lab import flows, lattices
+from khintchine_lab import excursion, flows, ifs, lattices
 
 
 def random_unimodular(rng, k, shears=6):
@@ -364,10 +364,68 @@ def test_singular_3x3_raises():
     with pytest.raises(ValueError, match="numerically singular"):
         lattices.shortest_of_basis(singular)
     # a walk that steps onto a singular basis: a zero column
-    walk = lattices._walk(np.eye(3), [np.array([1.0, 0.0, 1.0])])
+    walk = lattices._walk(np.eye(3), [[1.0, 0.0, 1.0]])
     next(walk)
     with pytest.raises(ValueError, match="numerically singular"):
         next(walk)
+
+
+def _ndarray_walk(basis, factors, times=np.multiply):
+    """Reference: the walk before it carried its rows as lists.  Every step
+    is an ndarray, scaled by ``np.multiply`` or multiplied by ``_times``, and
+    reduced by ``_reduce`` (through ``lll_reduce`` above 2x2)."""
+    reduced = lattices._reduce(basis)
+    yield reduced
+    for factor in factors:
+        reduced = lattices._reduce(times(np.asarray(reduced[0]).reshape(basis.shape), factor))
+        yield reduced
+
+
+def _yields(walk) -> list:
+    # repr tells every float apart, -0.0 from 0.0 included, and shows a
+    # numpy scalar where a Python number belongs
+    return [repr(([list(r) for r in rows], [list(r) for r in u], delta, coeffs))
+            for rows, u, delta, coeffs in walk]
+
+
+def _rotation_system(rng, d):
+    """Ratio 1/3 maps with dense rotations (det +1), so every entry of a
+    step matrix is a sum of d + 1 nonzero products."""
+    maps = []
+    for _ in range(3):
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        if np.linalg.det(q) < 0:
+            q[:, 0] = -q[:, 0]
+        maps.append(ifs.SimilarityMap(1 / 3, q, rng.random(d)))
+    return ifs.IfsSystem(maps=tuple(maps), weights=np.full(3, 1 / 3))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_list_walk_is_the_ndarray_walk(d):
+    # every yield of the walk (rows, U, Delta and the minimizers) equals the
+    # ndarray walk's bit for bit, along the flow and under step matrices,
+    # from starts with exact half-integer ties (round(0.5) = 0)
+    rng = np.random.default_rng(40 + d)
+    starts = [np.full(d, 0.5), np.resize([2.5, -1.5, 0.5], d), rng.random(d)]
+    for x in starts:
+        for h, t in ((0.25, 0.0), (0.05, 0.0), (0.4, 3.0)):
+            diagonal = [math.exp(-h)] + [math.exp(h / d)] * d
+            ref = _ndarray_walk(lattices.dual_basis(flows.diagonal_point(x, t)),
+                                itertools.repeat(np.array(diagonal), 150))
+            assert _yields(lattices._flow_walk(x, t, h, 150)) == _yields(ref)
+    for sys in (ifs.cantor_product(d), _rotation_system(rng, d)):
+        steps = excursion._step_inverses(sys)
+        columns = [m.T.tolist() for m in steps]
+        words = rng.integers(0, sys.alphabet_size, size=(len(starts), 150))
+        for x, word in zip(starts, words.tolist()):
+            basis = np.eye(d + 1)
+            basis[0, 1:] = x
+            ref = list(_ndarray_walk(basis, [steps[s] for s in word], lattices._times))
+            walk = lattices._walk(basis, [columns[s] for s in word], lattices._product)
+            assert _yields(walk) == _yields(ref)
+            if d >= 2:  # the rows of walk_heights walk one by one
+                heights = [-math.log(delta) for _, _, delta, _ in ref[1:]]
+                assert excursion.walk_heights(sys, word, start=x).tolist() == heights
 
 
 def test_lagrange_guard_raises(monkeypatch):
