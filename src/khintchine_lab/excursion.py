@@ -18,7 +18,7 @@ import mpmath
 import numpy as np
 
 from .flows import diag_time, similarity_to_group
-from .ifs import IfsSystem, sample_words
+from .ifs import IfsSystem, _symbols, sample_words
 from .lattices import CompactWindow, _flow_walk, _product, _reduced_sups, _times, _walk
 
 # tail_report draws and walks this many walks at a time, which bounds the
@@ -113,9 +113,11 @@ def walk_heights(sys: IfsSystem, word: Sequence[int] | np.ndarray, start=None) -
     (then the result has the same shape); ``start`` is one point of R^d or
     one per row.  The working basis follows B <- B h_s^{-1} with
     re-reduction, so the answer is exact while entries stay bounded by the
-    excursion scale.  At d = 1 all rows advance in lockstep.
+    excursion scale.  At d = 1 all rows advance in lockstep.  The symbols
+    may have any integer dtype and are indexed as they are, without a copy; a
+    float or out-of-range symbol raises ``ValueError``.
     """
-    words = np.asarray(word, dtype=int)
+    words = _symbols(sys, word)
     rows = np.atleast_2d(words)
     d = sys.dimension
     bases = np.tile(np.eye(d + 1), (rows.shape[0], 1, 1))

@@ -161,13 +161,23 @@ def cantor_product(d: int) -> IfsSystem:
     return IfsSystem(maps=tuple(maps), weights=weights)
 
 
-def _validate_word(sys: IfsSystem, word: Sequence[int]) -> np.ndarray:
-    w = np.asarray(word, dtype=int)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("word must be a nonempty 1-d sequence of symbols")
-    if np.any((w < 0) | (w >= sys.alphabet_size)):
+def _symbols(sys: IfsSystem, words) -> np.ndarray:
+    """``words`` as an integer array of symbols of ``sys``, not copied when it
+    is one already; a float or out-of-range symbol raises ``ValueError``
+    rather than being truncated or wrapped onto some map."""
+    w = np.asarray(words)
+    if w.dtype.kind not in "iu":
+        raise ValueError(f"symbols must be integers, got dtype {w.dtype}")
+    if w.size and (w.min() < 0 or w.max() >= sys.alphabet_size):
         raise ValueError("word contains symbols outside the alphabet")
     return w
+
+
+def _validate_word(sys: IfsSystem, word: Sequence[int]) -> np.ndarray:
+    w = np.asarray(word)
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError("word must be a nonempty 1-d sequence of symbols")
+    return _symbols(sys, w)
 
 
 def diameter_estimate(sys: IfsSystem) -> float:
@@ -222,8 +232,10 @@ def sample_words(
     leaving ``rng`` where it leaves it: the same uniforms in the same
     row-major order, drawn a block of rows at a time, and each mapped to
     ``searchsorted(cdf, u, side='right')``, the number of boundaries of the
-    normalised cdf at or below it.  The array is column-major, so that one
-    letter of every word is a contiguous column.
+    normalised cdf at or below it.  The values are choice's, but the dtype is
+    the narrowest unsigned one, ``np.min_scalar_type(alphabet_size - 1)``
+    (uint8 for up to 256 maps), not int64.  The array is column-major, so
+    that one letter of every word is a contiguous column.
     """
     if depth < 1 or count < 1:
         raise ValueError("depth and count must be positive")
@@ -231,11 +243,12 @@ def sample_words(
     cdf /= cdf[-1]
     # u < 1 = cdf[-1]: the last boundary never counts
     boundaries = cdf[:-1].tolist()
-    words = np.empty((count, depth), dtype=np.int64, order="F")
+    dtype = np.min_scalar_type(sys.alphabet_size - 1)
+    words = np.empty((count, depth), dtype=dtype, order="F")
     rows = max(1, _WORD_BLOCK // depth)
     for first in range(0, count, rows):
         u = rng.random((min(rows, count - first), depth))
-        block = np.zeros(u.shape, dtype=np.int64)
+        block = np.zeros(u.shape, dtype=dtype)
         for c in boundaries:
             block += u >= c
         words[first : first + len(u)] = block
@@ -251,9 +264,11 @@ def points_of_words(sys: IfsSystem, words: np.ndarray) -> np.ndarray:
     """Vectorized coding points for a batch of equal-length words.
 
     Each point is within ``rounding_bound(sys)`` of the exact coding point
-    of its word under the system's float parameters.
+    of its word under the system's float parameters.  ``words`` may have
+    any integer dtype and is indexed as it is, without a copy; a float or
+    out-of-range symbol raises ``ValueError``.
     """
-    words = np.asarray(words, dtype=int)
+    words = _symbols(sys, words)
     if words.ndim != 2:
         raise ValueError("words must be a 2-d array")
     count, depth = words.shape
@@ -265,7 +280,9 @@ def points_of_words(sys: IfsSystem, words: np.ndarray) -> np.ndarray:
         step = np.empty_like(pts)
         for i in range(depth - 1, -1, -1):
             pts *= sys.kappa
-            np.take(table, words[:, i], axis=0, out=step)
+            # the symbols are checked: "clip" never clips, but unlike
+            # "raise" it writes to step without a buffer
+            np.take(table, words[:, i], axis=0, out=step, mode="clip")
             pts += step
         return pts
     for i in range(depth - 1, -1, -1):
@@ -301,9 +318,10 @@ def rounding_bound(sys: IfsSystem) -> float:
     return 1.01 * 2.0**-53 * ((1.0 + dot) * kappa + 1.0) * reach / (1.0 - kappa)
 
 
-# Fixed chunk size: the sample stream for a given seed must not depend on how
-# many points the caller asks for at once.
-_SAMPLE_CHUNK = 1 << 17
+# Rows sample_fractal draws and codes at a time.  The point stream for a seed
+# does not depend on it (the uniforms are drawn in one row-major order), and
+# at 2^14 rows the chunk's point block and word columns stay in cache.
+_SAMPLE_CHUNK = 1 << 14
 
 
 def sample_fractal(
@@ -313,6 +331,9 @@ def sample_fractal(
 
     Deterministic in ``seed``; each point is the coding point of an i.i.d.
     word of the given length (defaulting to the double-precision depth).
+    Words are drawn and coded ``_SAMPLE_CHUNK`` rows at a time, so beside the
+    output it holds one chunk of narrow words (see ``sample_words``) and its
+    point block.
     """
     if count < 1:
         raise ValueError("count must be positive")

@@ -114,6 +114,29 @@ def test_walk_heights_rows_at_d2():
         np.testing.assert_array_equal(row, excursion.walk_heights(sys, word, start=x))
 
 
+def test_walk_heights_reject_symbols_outside_the_alphabet():
+    # d = 1 (lockstep rows) and d = 2 (rows one by one): -1 does not walk
+    # with the last map, a float symbol is not truncated, and a batch with
+    # one bad row fails as a whole
+    for d in (1, 2):
+        sys = ifs.cantor_product(d)
+        good = ifs.sample_words(sys, 20, 3, np.random.default_rng(d))
+        assert good.dtype == np.uint8
+        np.testing.assert_array_equal(
+            excursion.walk_heights(sys, good), excursion.walk_heights(sys, good.astype(int))
+        )
+        bad_words = (
+            [-1, 0],
+            [0.7, 0.0],
+            [0, sys.alphabet_size],
+            np.array([[0, 1], [0, 255]], dtype=np.uint8),
+            np.array([[0, 1], [-1, 0]]),
+        )
+        for bad in bad_words:
+            with pytest.raises(ValueError, match="alphabet|integers"):
+                excursion.walk_heights(sys, bad)
+
+
 def test_k3_kernel_trajectories_are_the_general_loops(monkeypatch):
     # d = 2 orbits and walks on the unrolled k = 3 kernel, then with the
     # general list loop in its place: the same floats at every step

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,13 +157,64 @@ def test_points_of_words_keeps_each_map_ratio():
         np.testing.assert_array_equal(row, scalar)
 
 
-def test_sample_fractal_deterministic_and_chunk_invariant():
-    sys = ifs.cantor_product(1)
-    a = ifs.sample_fractal(sys, 300, depth=40, seed=123)
-    b = ifs.sample_fractal(sys, 300, depth=40, seed=123)
-    np.testing.assert_array_equal(a, b)
-    c = ifs.sample_fractal(sys, 100, depth=40, seed=123)
-    np.testing.assert_array_equal(a[:100], c)
+def _rotated_pair():
+    """Two maps, one of them a rotation: points_of_words takes the masked route."""
+    rot = np.array([[0.6, 0.8], [-0.8, 0.6]])
+    maps = (
+        ifs.SimilarityMap(0.4, np.eye(2), np.array([0.0, 0.0])),
+        ifs.SimilarityMap(0.4, rot, np.array([0.6, 0.2])),
+    )
+    return ifs.IfsSystem(maps=maps, weights=np.array([0.3, 0.7]))
+
+
+def test_sample_fractal_deterministic_and_chunk_invariant(monkeypatch):
+    # one point stream per seed, whatever the count and however the chunks
+    # cut it: 300 and 100 are multiples of neither 7 nor 64
+    for sys in (ifs.cantor_product(1), ifs.cantor_product(2), _rotated_pair()):
+        a = ifs.sample_fractal(sys, 300, depth=40, seed=123)
+        b = ifs.sample_fractal(sys, 300, depth=40, seed=123)
+        np.testing.assert_array_equal(a, b)
+        c = ifs.sample_fractal(sys, 100, depth=40, seed=123)
+        np.testing.assert_array_equal(a[:100], c)
+        for chunk in (7, 64):
+            monkeypatch.setattr(ifs, "_SAMPLE_CHUNK", chunk)
+            assert ifs.sample_fractal(sys, 300, depth=40, seed=123).tobytes() == a.tobytes()
+            assert ifs.sample_fractal(sys, 100, depth=40, seed=123).tobytes() == c.tobytes()
+        monkeypatch.undo()
+
+
+def test_sample_fractal_holds_one_chunk_beside_its_output():
+    # beside the 3.2 MB of points, one chunk of uint8 words and its point
+    # block (about 2.7 MB at 2^14 rows); int64 words of 2^17 rows took 106 MB
+    sys = ifs.cantor_product(2)
+    ifs.sample_fractal(sys, 10)
+    tracemalloc.start()
+    try:
+        pts = ifs.sample_fractal(sys, 200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= pts.nbytes + 6_000_000
+
+
+def test_points_of_words_rejects_symbols_outside_the_alphabet():
+    # on both routes, a float symbol is not truncated and an out-of-range one
+    # does not wrap onto a map or leave the base point
+    for sys in (ifs.cantor_product(1), _rotated_pair()):
+        ifs.points_of_words(sys, np.array([[1, 0]], dtype=np.uint8))
+        bad_words = (
+            [[-1, 0]],
+            [[0.9, 0.0]],
+            [[5, 5]],
+            [[0, 2]],
+            np.array([[0, 2]], dtype=np.uint8),
+            [[True, False]],
+        )
+        for bad in bad_words:
+            with pytest.raises(ValueError, match="alphabet|integers"):
+                ifs.points_of_words(sys, bad)
+            with pytest.raises(ValueError, match="alphabet|integers"):
+                ifs.coding_point(sys, np.asarray(bad)[0])
 
 
 def test_sampled_points_lie_on_attractor():
@@ -240,12 +292,16 @@ def test_weights_must_be_strictly_positive(bad):
 
 @pytest.mark.parametrize(
     "weights",
-    [[1.0], [0.5, 0.5], [0.25] * 4, [0.9, 0.05, 0.03, 0.02], [0.1, 0.2, 0.3, 0.4], [1 / 3] * 3],
+    [
+        [1.0], [0.5, 0.5], [0.25] * 4, [0.9, 0.05, 0.03, 0.02], [0.1, 0.2, 0.3, 0.4], [1 / 3] * 3,
+        pytest.param([1 / 257] * 257, id="257 maps"),
+    ],
     ids=str,
 )
 def test_sample_words_are_the_choice_words(monkeypatch, weights):
     # the words of Generator.choice from the same uniforms, the generator
-    # left where choice leaves it, and one letter of every word contiguous
+    # left where choice leaves it, and one letter of every word contiguous;
+    # held in the narrowest unsigned dtype (uint16 for 257 maps)
     maps = tuple(ifs.SimilarityMap(1 / 3, np.eye(1), np.array([s / 3])) for s in range(len(weights)))
     sys = ifs.IfsSystem(maps=maps, weights=np.array(weights))
 
@@ -253,7 +309,7 @@ def test_sample_words_are_the_choice_words(monkeypatch, weights):
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         words = ifs.sample_words(sys, depth, count, ours)
         expect = ref.choice(sys.alphabet_size, size=(count, depth), p=sys.weights)
-        assert words.dtype == expect.dtype and np.array_equal(words, expect)
+        assert words.dtype == np.min_scalar_type(sys.alphabet_size - 1) and np.array_equal(words, expect)
         assert words.flags.f_contiguous
         assert ours.random() == ref.random()
 
