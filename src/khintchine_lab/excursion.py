@@ -22,7 +22,8 @@ from .ifs import IfsSystem, _symbols, sample_words
 from .lattices import CompactWindow, _flow_walk, _product, _reduced_sups, _times, _walk
 
 # tail_report draws and walks this many walks at a time, which bounds the
-# words and heights it holds at once (16 bytes per walk step)
+# words and heights it holds at once (per walk step a symbol, one byte for up
+# to 256 maps, and a float64 height: 9 bytes)
 WALK_GROUP = 1024
 
 
@@ -117,7 +118,7 @@ def walk_heights(sys: IfsSystem, word: Sequence[int] | np.ndarray, start=None) -
     may have any integer dtype and are indexed as they are, without a copy; a
     float or out-of-range symbol raises ``ValueError``.
     """
-    words = _symbols(sys, word)
+    words = _symbols(sys.alphabet_size, word)
     rows = np.atleast_2d(words)
     d = sys.dimension
     bases = np.tile(np.eye(d + 1), (rows.shape[0], 1, 1))

@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 import mpmath
 import numpy as np
 
-from .ifs import IfsSystem, SimilarityMap, _freeze, sample_words
+from .ifs import IfsSystem, SimilarityMap, _freeze, _symbols, sample_words
 
 DET_RENORM_TOL = 1e-11
 P_SHAPE_TOL = 1e-10
@@ -199,16 +199,11 @@ def walk_steps(sys: IfsSystem) -> tuple[GroupElement, ...]:
     return tuple(similarity_to_group(m) for m in sys.maps)
 
 
-def _check_word(steps: Sequence[GroupElement], word) -> np.ndarray:
-    w = np.atleast_1d(np.asarray(word, dtype=int))
-    if w.size and (w.min() < 0 or w.max() >= len(steps)):
-        raise ValueError("word contains symbols outside the alphabet")
-    return w
-
-
 def walk_matrix(steps: Sequence[GroupElement], word) -> GroupElement:
-    """Ordered product h_{s_n} ... h_{s_1} for word (s_1, ..., s_n)."""
-    w = _check_word(steps, word)
+    """Ordered product h_{s_n} ... h_{s_1} for word (s_1, ..., s_n), the
+    identity for the empty word; a float, bool or out-of-range symbol raises
+    ``ValueError``."""
+    w = np.atleast_1d(_symbols(len(steps), word))
     if w.size == 0:
         return identity(steps[0].dimension)
     out = steps[w[0]]
@@ -218,8 +213,9 @@ def walk_matrix(steps: Sequence[GroupElement], word) -> GroupElement:
 
 
 def walk_products(steps: Sequence[GroupElement], word) -> Iterator[GroupElement]:
-    """Yields the prefix products h_{s_1}, h_{s_2}h_{s_1}, ... lazily."""
-    w = _check_word(steps, word)
+    """Yields the prefix products h_{s_1}, h_{s_2}h_{s_1}, ... lazily, none
+    for the empty word; symbols are checked as ``walk_matrix`` checks them."""
+    w = np.atleast_1d(_symbols(len(steps), word))
     out = None
     for s in w:
         out = steps[s] if out is None else steps[s] @ out

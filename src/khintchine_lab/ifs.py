@@ -161,14 +161,16 @@ def cantor_product(d: int) -> IfsSystem:
     return IfsSystem(maps=tuple(maps), weights=weights)
 
 
-def _symbols(sys: IfsSystem, words) -> np.ndarray:
-    """``words`` as an integer array of symbols of ``sys``, not copied when it
-    is one already; a float or out-of-range symbol raises ``ValueError``
-    rather than being truncated or wrapped onto some map."""
+def _symbols(alphabet_size: int, words) -> np.ndarray:
+    """``words`` as an integer array of symbols in [0, alphabet_size), not
+    copied when it is one already; a float, bool or out-of-range symbol
+    raises ``ValueError`` rather than being truncated or wrapped onto some
+    map.  An empty array has no symbol to check and passes whatever its
+    dtype (``np.asarray([])`` is float)."""
     w = np.asarray(words)
-    if w.dtype.kind not in "iu":
+    if w.size and w.dtype.kind not in "iu":
         raise ValueError(f"symbols must be integers, got dtype {w.dtype}")
-    if w.size and (w.min() < 0 or w.max() >= sys.alphabet_size):
+    if w.size and (w.min() < 0 or w.max() >= alphabet_size):
         raise ValueError("word contains symbols outside the alphabet")
     return w
 
@@ -177,7 +179,7 @@ def _validate_word(sys: IfsSystem, word: Sequence[int]) -> np.ndarray:
     w = np.asarray(word)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("word must be a nonempty 1-d sequence of symbols")
-    return _symbols(sys, w)
+    return _symbols(sys.alphabet_size, w)
 
 
 def diameter_estimate(sys: IfsSystem) -> float:
@@ -268,7 +270,7 @@ def points_of_words(sys: IfsSystem, words: np.ndarray) -> np.ndarray:
     any integer dtype and is indexed as it is, without a copy; a float or
     out-of-range symbol raises ``ValueError``.
     """
-    words = _symbols(sys, words)
+    words = _symbols(sys.alphabet_size, words)
     if words.ndim != 2:
         raise ValueError("words must be a 2-d array")
     count, depth = words.shape

@@ -106,11 +106,6 @@ def _gram(rows: list, start: int = 0, data: tuple | None = None) -> tuple[list, 
     return mu, norms, stars
 
 
-# (rows, mu, norms) of the last basis lll_reduce returned: the enumeration
-# of that basis reuses its Gram-Schmidt data instead of recomputing it
-_last_reduced: list = [None, None, None]
-
-
 def lll_reduce(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lovasz-reduce the rows of ``basis`` with the Lovasz constant 0.99;
     returns (reduced, U) with reduced = U @ basis and U integer unimodular.
@@ -122,10 +117,11 @@ def lll_reduce(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     doubles with each dot product correctly rounded by ``math.fsum``; so the
     decisions, ties included, and the reduced floats are the same on every
     IEEE platform whatever BLAS numpy uses.  Three rows run ``_lll_3``, the
-    loop unrolled, and any other number ``_lll_loop``: same floats.
+    loop unrolled, and any other number ``_lll_loop``: same floats.  The
+    Gram-Schmidt data of the reduced rows is not returned; ``_gram`` of them
+    gives the same floats.
     """
-    b, u, mu, norms = _lll(np.asarray(basis, dtype=float).tolist())
-    _last_reduced[:] = [b, mu, norms]
+    b, u, _, _ = _lll(np.asarray(basis, dtype=float).tolist())
     return np.array(b), np.array(u, dtype=np.int64)
 
 
@@ -254,10 +250,10 @@ def _lll_3(b: list) -> tuple[list, list, list, list]:
     return [r0, r1, r2], [u0, u1, u2], mu, [n0, n1, n2]
 
 
-def _enumerate_sup(reduced: np.ndarray) -> tuple[float, list[tuple]]:
+def _search(rows: list, mu: list, norms: list) -> tuple[float, list[tuple]]:
     """All coefficient vectors (w.r.t. the reduced rows, one of each +-pair)
     achieving the minimal sup norm, by depth-first search over the certified
-    Euclidean ball.
+    Euclidean ball; ``mu`` and ``norms`` are the rows' Gram-Schmidt data.
 
     Children are visited in Schnorr-Euchner zig-zag order (nondecreasing
     distance to the projected center), so a level stops at its first child
@@ -266,16 +262,6 @@ def _enumerate_sup(reduced: np.ndarray) -> tuple[float, list[tuple]]:
     Three rows run ``_search_3``, the search as three nested loops, and any
     other number ``_search_loop``: same floats, same leaves in the same order.
     """
-    rows = reduced.tolist()
-    if rows == _last_reduced[0]:
-        _, mu, norms = _last_reduced
-    else:
-        mu, norms, _ = _gram(rows)
-    return _search(rows, mu, norms)
-
-
-def _search(rows: list, mu: list, norms: list) -> tuple[float, list[tuple]]:
-    """``_enumerate_sup`` on the reduced rows and their Gram-Schmidt data."""
     if min(norms) < SINGULAR_TOL:
         raise ValueError("numerically singular basis")
     return (_search_3 if len(rows) == 3 else _search_loop)(rows, mu, norms)
@@ -498,22 +484,24 @@ def _reduce(basis: np.ndarray) -> tuple:
     """Reduced rows of a row basis (lists of floats), the rows of U with
     reduced = U @ basis, the sup norm Delta of its shortest vector and every
     coefficient vector w.r.t. the reduced rows that attains it (one of each
-    +-pair): Lagrange and the candidate scan for 2x2, LLL (``lll_reduce``)
-    and enumeration above, up to ``DIMENSION_LIMIT`` rows for every caller."""
+    +-pair), up to ``DIMENSION_LIMIT`` rows for every caller: Lagrange and the
+    candidate scan for 2x2; above, ``lll_reduce``, then ``_gram`` of the
+    reduced rows and the enumeration ``_search``."""
     k = len(basis)
     if k > DIMENSION_LIMIT:
         raise ValueError(f"dimension {k} above certified range {DIMENSION_LIMIT}")
     if k == 2:
         return _reduce_rows(basis.tolist())
     reduced, u = lll_reduce(basis)
-    delta, coeffs = _enumerate_sup(reduced)
-    return reduced.tolist(), u.tolist(), delta, coeffs
+    rows = reduced.tolist()
+    mu, norms, _ = _gram(rows)
+    return rows, u.tolist(), *_search(rows, mu, norms)
 
 
 def _reduce_rows(rows: list) -> tuple:
     """``_reduce`` of a basis given as lists of floats (changed in place) on
     the same kernels, with no ndarray on the way: the search reads the mu and
-    norms that the reduction has just computed."""
+    norms that ``_lll`` returns with the reduced rows."""
     if len(rows) == 2:
         (m00, m01), (m10, m11) = rows
         reduced, u = _lagrange_2x2(m00, m01, m10, m11)
@@ -552,10 +540,12 @@ def _product(rows: list, columns: list) -> list:
 def _walk(basis: np.ndarray, factors, times=_scaled):
     """Yields ``_reduce`` of ``basis``, then ``_reduce_rows`` of each reduced
     basis times the next of ``factors``, which act on the right and so
-    commute with the integer change of rows.  Only the start is an ndarray
-    (and goes through ``lll_reduce`` above 2x2); from there the rows stay
-    lists of Python floats.  ``_scaled`` multiplies by a diagonal given as its
-    entries, ``_product`` by a step matrix given as its columns."""
+    commute with the integer change of rows.  Only the start is an ndarray,
+    reduced cold (above 2x2 by ``lll_reduce``, its Gram-Schmidt data
+    recomputed for the search); from there the rows stay lists of Python
+    floats, and each search reads the mu and norms of the ``_lll`` call that
+    reduced them.  ``_scaled`` multiplies by a diagonal given as its entries,
+    ``_product`` by a step matrix given as its columns."""
     reduced = _reduce(basis)
     yield reduced
     for factor in factors:

@@ -339,6 +339,26 @@ def test_run_constants_small(tmp_path):
     assert m.verdicts["varpi_exact"] == pytest.approx(cli.cantor_varpi(2))
 
 
+def test_run_constants_on_a_system_file(tmp_path):
+    # a JSON system has no closed forms: NaN sandwich bounds, no varpi_exact
+    # and no covering certificate; the sampled columns are the builtin's
+    path = str(tmp_path / "cantor1.json")
+    ifs.save_system(ifs.cantor_product(1), path)
+    params = {"n_max": 3, "samples": 4000, "search_budget": 20}
+    runs = {}
+    for name, system in (("file", path), ("builtin", "cantor:1")):
+        doc = {"system": system, "output_dir": str(tmp_path / name), "parameters": params}
+        manifest = cli.run(build_config("constants", doc, {"workers": 1}))
+        runs[name] = manifest.verdicts, read_csv(tmp_path / name / "constants.csv")[1]
+    verdicts, rows = runs["file"]
+    assert rows and all(r[3] == r[4] == "nan" for r in rows)
+    assert "varpi_exact" not in verdicts
+    assert not any(key.startswith("certificate_") for key in verdicts)
+    builtin_verdicts, builtin_rows = runs["builtin"]
+    assert [r[:3] + r[5:] for r in rows] == [r[:3] + r[5:] for r in builtin_rows]
+    assert verdicts["varpi_hat"] == builtin_verdicts["varpi_hat"]
+
+
 NO_SCIPY = """
 import json, math, sys
 

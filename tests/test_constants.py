@@ -45,6 +45,12 @@ def test_cover_is_sound_by_enumeration():
         ([1, 1], 6, 1.0, None),
         ([2, -1], 5, 0.5, None),
         ([1, 1, 1], 3, 1.5, None),
+        # n < d - 1: the recursion reaches depth 0 with more than one
+        # coordinate left (_cover_rec's lam == 0 base case)
+        ([1, 1, 1], 1, 1.5, None),
+        ([1, 2, 3], 1, 3.0, None),
+        ([1, 1, 1, 1], 1, 2.0, None),
+        ([1, 1, 1, 1], 2, 2.0, None),
     ]
     for case in cases:
         if len(case[0]) == 1:

@@ -44,8 +44,9 @@ def test_walk_heights_dual_route():
         basis[0, 1] = x[0]
         b, _ = lattices.lll_reduce(basis)
         for h, s in zip(heights, word):
-            b, _ = lattices.lll_reduce(b @ mats[s])
-            delta, _ = lattices._enumerate_sup(b)
+            rows, _, mu, norms = lattices._lll((b @ mats[s]).tolist())
+            b = np.array(rows)
+            delta, _ = lattices._search(rows, mu, norms)
             assert h == pytest.approx(-math.log(delta), abs=1e-7)
 
 
@@ -430,6 +431,26 @@ def test_tail_report_rejects_non_finite_delta(tmp_path, capsys, value):
         argv = ["simulate", "--walks", "2", "--steps", "50", flag, str(value), "--out", str(tmp_path)]
         assert cli.main(argv) == 1
         assert "finite" in capsys.readouterr().err
+
+
+def test_tail_report_censors_a_walk_without_a_return(monkeypatch):
+    # burn-in 2 and 4 steps after it: the first walk returns to the window
+    # at every step, the second visits it first at step 2 and never again
+    sys = ifs.cantor_product(1)
+    window = lattices.CompactWindow(1.0)
+    returning = [0.0] * 6
+    no_return = [5.0, 5.0, 0.0, 5.0, 5.0, 5.0]
+
+    def report(rows):
+        fake = np.array(rows)
+        monkeypatch.setattr(excursion, "walk_heights", lambda sys, words: fake)
+        return excursion.tail_report(sys, window, walks=len(rows), steps=4, seed=0, burn_in=2)
+
+    alone = report([returning])
+    both = report([returning, no_return])
+    assert alone.n_samples == both.n_samples == 3
+    assert both.n_censored == alone.n_censored + 1
+    np.testing.assert_array_equal(both.empirical_tail, alone.empirical_tail)
 
 
 def test_tail_report_needs_window_visits():

@@ -177,6 +177,25 @@ def test_walk_products_prefixes_agree_with_walk_matrix():
         np.testing.assert_allclose(g.matrix, direct.matrix, atol=1e-12)
 
 
+def test_walk_matrix_and_products_check_symbols():
+    # a float symbol is not truncated (0.7 walked as 0) and a bool is not
+    # walked as 0 or 1; the empty word is the identity and has no prefixes
+    sys = ifs.cantor_product(1)
+    steps = flows.walk_steps(sys)
+    for bad in ([0.7, 1.2], [True, False], [0, 2], [-1], np.array([1, 0], dtype=float)):
+        with pytest.raises(ValueError, match="alphabet|integers"):
+            flows.walk_matrix(steps, bad)
+        with pytest.raises(ValueError, match="alphabet|integers"):
+            list(flows.walk_products(steps, bad))
+    for empty in ([], (), np.array([], dtype=np.uint8)):
+        np.testing.assert_array_equal(flows.walk_matrix(steps, empty).matrix, np.eye(2))
+        assert list(flows.walk_products(steps, empty)) == []
+    narrow = np.array([1, 0, 1], dtype=np.uint8)
+    np.testing.assert_array_equal(
+        flows.walk_matrix(steps, narrow).matrix, flows.walk_matrix(steps, [1, 0, 1]).matrix
+    )
+
+
 def test_walk_diagonal_projection_is_linear_in_n():
     for d, t_step in ((1, math.log(3) / 2), (2, 2 * math.log(3) / 3)):
         sys = ifs.cantor_product(d)

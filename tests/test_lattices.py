@@ -283,30 +283,31 @@ def test_enumerated_sup_is_the_plain_float_sup():
     points = [([0.03163956363423126, 0.22967587053572702, 0.5180602827074992], 1.422495510269684)]
     points += [(rng.random(k - 1), rng.uniform(0.0, 8.0)) for k in (3, 4) for _ in range(50)]
     for x, t in points:
-        reduced, _ = lattices.lll_reduce(lattices.dual_basis(flows.diagonal_point(x, t)))
-        delta, coeffs = lattices._enumerate_sup(reduced)
-        rows = reduced.tolist()
+        basis = lattices.dual_basis(flows.diagonal_point(x, t)).tolist()
+        rows, _, mu, norms = lattices._lll(basis)
+        delta, coeffs = lattices._search(rows, mu, norms)
         assert coeffs and all(_plain_sup(c, rows) == delta for c in coeffs)
     pinned = lattices.dual_basis(flows.diagonal_point(points[0][0], points[0][1]))
     assert lattices.shortest_of_basis(pinned)[0] == 0.7233347073165526
 
 
 def _k3_route(basis, general: bool):
-    """lll_reduce then _enumerate_sup of ``basis``, on the k = 3 kernel or
-    with the general list loop in its place: reduced rows, U, mu, norms,
-    Delta and the coefficient list, or the error raised."""
+    """_lll then _search of ``basis``, on the k = 3 kernel or with the
+    general list loop in its place: reduced rows, U, the mu and norms the
+    reduction itself returns, Delta and the coefficient list, or the error
+    raised."""
     with pytest.MonkeyPatch.context() as mp:
         if general:
             mp.setattr(lattices, "_lll_3", lattices._lll_loop)
             mp.setattr(lattices, "_search_3", lattices._search_loop)
         try:
-            reduced, u = lattices.lll_reduce(basis)
-            _, mu, norms = lattices._last_reduced
-            delta, coeffs = lattices._enumerate_sup(reduced)
+            reduced, u, mu, norms = lattices._lll(np.asarray(basis, dtype=float).tolist())
+            delta, coeffs = lattices._search(reduced, mu, norms)
         except (ValueError, ArithmeticError, lattices.ReductionGuardError) as exc:
             return repr(exc)
-    # repr tells every float apart, -0.0 from 0.0 included
-    return repr((reduced.tolist(), u.tolist(), mu, norms, delta, coeffs))
+    # the kernel keeps rows of U as tuples, the loop as lists; repr tells
+    # every float apart, -0.0 from 0.0 included
+    return repr(([list(r) for r in reduced], [list(r) for r in u], mu, norms, delta, coeffs))
 
 
 def _k3_bases(rng) -> list:

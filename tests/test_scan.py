@@ -180,6 +180,27 @@ def test_cross_check_clean_on_rationals_and_golden():
     assert rep.direct_violations == [] and rep.converse_violations == []
 
 
+def test_cross_check_reports_violations(monkeypatch):
+    # both checks can fail: a height of -inf fails every checked hit, and a
+    # witness with q = 0 fails every crossing
+    x, _ = scan.parse_point("golden")
+    psi = psi_over_q(0.44)
+    clean = scan.dani_cross_check(x, psi, 1, 300)
+    assert clean.hits_checked > 0 and clean.crossings > 0
+    with monkeypatch.context() as mp:
+        mp.setattr(scan, "height", lambda point: -math.inf)
+        rep = scan.dani_cross_check(x, psi, 1, 300)
+    assert len(rep.direct_violations) == rep.hits_checked == clean.hits_checked
+    assert all(l_val == -math.inf for _, _, l_val, _ in rep.direct_violations)
+    assert rep.converse_violations == []
+    with monkeypatch.context() as mp:
+        mp.setattr(scan, "_witness", lambda u, coeffs: np.zeros(2, dtype=np.int64))
+        rep = scan.dani_cross_check(x, psi, 1, 300)
+    assert rep.direct_violations == []
+    assert len(rep.converse_violations) == rep.crossings == clean.crossings
+    assert all(q == 0 for _, q, _, _ in rep.converse_violations)
+
+
 def test_cross_check_skips_degenerate_hits():
     x, exact = scan.parse_point("1/2")
     rep = scan.dani_cross_check(x, psi_over_q(), 1, 50, x_exact=exact)
