@@ -8,7 +8,6 @@ bit for bit, independently of the worker count.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import dataclasses
 import datetime
@@ -19,6 +18,7 @@ import os
 import sys as _sys
 import tempfile
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,6 +42,9 @@ from .excursion import (
 from .ifs import IfsSystem, cantor_product, load_system, sample_fractal
 from .lattices import CompactWindow
 from .scan import dani_cross_check, parse_point, survey
+
+if TYPE_CHECKING:
+    import argparse
 
 _TOP_KEYS = {"command", "system", "seed", "workers", "output_dir", "parameters"}
 
@@ -572,6 +575,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # imported here: the console entry is its one user, and ``run`` needs no
+    # parser
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="khintchine-lab",
         description="fractal approximation experiments",

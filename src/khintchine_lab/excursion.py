@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Sequence
 
-import mpmath
 import numpy as np
 
 from .flows import diag_time, similarity_to_group
@@ -22,8 +21,8 @@ from .ifs import IfsSystem, _symbols, sample_words
 from .lattices import CompactWindow, _flow_walk, _product, _reduced_sups, _times, _walk
 
 # tail_report draws and walks this many walks at a time, which bounds the
-# words and heights it holds at once (per walk step a symbol, one byte for up
-# to 256 maps, and a float64 height: 9 bytes)
+# words and Deltas it holds at once (per walk step a symbol, one byte for up
+# to 256 maps, a float64 Delta and one-byte window flags)
 WALK_GROUP = 1024
 
 
@@ -91,20 +90,36 @@ def _step_inverses(sys: IfsSystem) -> list:
 
 
 def _lagrange_walks(bases: np.ndarray, steps: list, words: np.ndarray) -> np.ndarray:
-    """Heights of d=1 walks advanced in lockstep, one walk per row of
-    ``words``, each from its own 2x2 basis: the floats of ``_walk`` (reduce
-    the start, then step and reduce) for every walk.  Heights go
-    through ``math.log``; ``np.log`` can differ in the last bit."""
+    """Delta after each step of d=1 walks advanced in lockstep, one walk per
+    row of ``words``, each from its own 2x2 basis: the floats of ``_walk``
+    (reduce the start, then step and reduce) for every walk."""
     b, _ = _reduced_sups(np.moveaxis(bases, 0, -1).copy())
     table = np.moveaxis(np.array(steps, dtype=float), 0, -1)
-    heights = np.empty(words.shape)
+    deltas = np.empty(words.shape)
     for i in range(words.shape[1]):
         s = table.take(words[:, i], axis=2)
-        b, heights[:, i] = _reduced_sups(_times(b, s))
-    # one walk at a time keeps the Python floats of math.log few
-    for row in heights:
-        row[:] = np.fromiter(map(math.log, row.tolist()), float, row.size)
-    return np.negative(heights, out=heights)
+        b, deltas[:, i] = _reduced_sups(_times(b, s))
+    return deltas
+
+
+def _walk_deltas(sys: IfsSystem, rows: np.ndarray, start=None) -> np.ndarray:
+    """Delta, the sup norm of the shortest vector, after each step of the
+    walks h_{b_1^n} u_start, one walk per row of the checked symbol array
+    ``rows``; ``start`` is one point of R^d or one per row.  At d = 1 the
+    rows advance in lockstep, above it one at a time."""
+    d = sys.dimension
+    bases = np.tile(np.eye(d + 1), (rows.shape[0], 1, 1))
+    if start is not None:
+        bases[:, 0, 1:] = np.asarray(start, dtype=float)
+    steps = _step_inverses(sys)
+    if d == 1:
+        return _lagrange_walks(bases, steps, rows)
+    columns = [m.T.tolist() for m in steps]
+    out = np.empty(rows.shape)
+    for deltas, basis, row in zip(out, bases, rows):
+        walk = _walk(basis, [columns[s] for s in row.tolist()], _product)
+        deltas[:] = [delta for _, _, delta, _ in islice(walk, 1, None)]
+    return out
 
 
 def walk_heights(sys: IfsSystem, word: Sequence[int] | np.ndarray, start=None) -> np.ndarray:
@@ -119,21 +134,35 @@ def walk_heights(sys: IfsSystem, word: Sequence[int] | np.ndarray, start=None) -
     float or out-of-range symbol raises ``ValueError``.
     """
     words = _symbols(sys.alphabet_size, word)
-    rows = np.atleast_2d(words)
-    d = sys.dimension
-    bases = np.tile(np.eye(d + 1), (rows.shape[0], 1, 1))
-    if start is not None:
-        bases[:, 0, 1:] = np.asarray(start, dtype=float)
-    steps = _step_inverses(sys)
-    if d == 1:
-        out = _lagrange_walks(bases, steps, rows)
+    heights = _walk_deltas(sys, np.atleast_2d(words), start)
+    # -log Delta one walk at a time, which keeps the Python floats of math.log
+    # few; np.log can differ from it in the last bit
+    for row in heights:
+        row[:] = np.fromiter(map(math.log, row.tolist()), float, row.size)
+    return np.negative(heights, out=heights).reshape(words.shape)
+
+
+def _window_visits(deltas: np.ndarray, level: float) -> np.ndarray:
+    """Where ``-math.log(delta) <= level``, the window test on the heights of
+    ``walk_heights``, decided on Delta: only the steps in a narrow band
+    around c = e^-level take the log.
+
+    Delta >= c (1 + 2^-40) is a visit and Delta <= c (1 - 2^-40) is not.  In
+    log space the band reaches 2^-40 to each side of -level, while the
+    roundings of c and of the band's ends move it by about 2^-52 and
+    ``math.log`` errs by an ulp of |log Delta| <= 745, at most 2^-43.  Where
+    c would not be a normal float, every step takes the log.
+    """
+    # e^-708 and e^708 lie inside the normal floats, [2^-1022, 2^1024)
+    if abs(level) < 708.0:
+        c = math.exp(-level)
+        lo, hi = c * (1.0 - 2.0**-40), c * (1.0 + 2.0**-40)
     else:
-        columns = [m.T.tolist() for m in steps]
-        out = np.empty(rows.shape)
-        for heights, basis, row in zip(out, bases, rows):
-            walk = _walk(basis, [columns[s] for s in row.tolist()], _product)
-            heights[:] = [-math.log(delta) for _, _, delta, _ in islice(walk, 1, None)]
-    return out.reshape(words.shape)
+        lo, hi = -math.inf, math.inf
+    visits = deltas >= hi
+    near = (deltas > lo) & ~visits
+    visits[near] = [-math.log(delta) <= level for delta in deltas[near].tolist()]
+    return visits
 
 
 def diagonal_heights(x, kappa: float, n_max: int, refine: int = 1) -> np.ndarray:
@@ -317,8 +346,12 @@ def _t_quantile(p: float, df: int) -> float:
 
     The t solving I_{t^2/(df+t^2)}(1/2, df/2) = 2p - 1, the regularized
     incomplete beta function, by mpmath's secant ``findroot`` at 30 digits
-    from the normal quantile, rounded once to a float.
+    from the normal quantile, rounded once to a float.  mpmath is imported
+    here, its one use on the command line's paths, so no other command
+    loads it.
     """
+    import mpmath
+
     with mpmath.workdps(30):
         target = 2 * mpmath.mpf(p) - 1
         half_df = mpmath.mpf(df) / 2
@@ -341,13 +374,16 @@ def tail_report(
     varpi: float | None = None,
     burn_in: int = 64,
 ) -> TailReport:
-    """Pooled excursion-length tail against its own Chebyshev bound.
+    """Pooled excursion-length tail against a Markov bound on the sample.
 
     Each walk is burnt in until it first visits the window; that visit is the
     start point, and the sigma samples are the gaps between consecutive
-    window visits over the next ``steps`` steps.  theta_hat is the max over
-    walks of the within-walk mean of e^{(delta/m) sigma}; by Markov plus
-    convexity the pooled tail is dominated by e^{-(delta/m)s} theta_hat.
+    window visits over the next ``steps`` steps.  A visit is a step whose
+    height ``walk_heights`` would put in the window, decided on Delta by
+    ``_window_visits``.  theta_hat is the max over walks of the within-walk
+    mean of e^{(delta/m) sigma}; by Markov's inequality the pooled tail lies
+    under e^{-(delta/m)s} theta_hat for any sample, so the bound checks the
+    arithmetic, not the walk.
     """
     if walks < 1 or steps < 1 or m < 1:
         raise ValueError("walks, steps, m must be positive")
@@ -371,8 +407,9 @@ def tail_report(
     for first in range(0, walks, WALK_GROUP):
         # row by row, the rng order of one walk at a time
         words = sample_words(sys, total, min(WALK_GROUP, walks - first), rng)
-        for heights in walk_heights(sys, words):
-            visits = np.flatnonzero(heights <= window.level)
+        in_window = _window_visits(_walk_deltas(sys, words), window.level)
+        for row in in_window:
+            visits = np.flatnonzero(row)
             anchors = visits[visits >= burn_in]
             if anchors.size == 0:
                 n_censored += 1

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-import mpmath
 import numpy as np
 
 from .ifs import IfsSystem, SimilarityMap, _freeze, _symbols, sample_words
@@ -232,8 +231,11 @@ def shadowing_identity_residual(sys: IfsSystem, seed: int, n: int, tail: int = 4
     truncated consistently (both from the same length n + tail draw), so the
     residual measures only whether the group translation is wired correctly.
     Computed in mpmath at 60 digits: in doubles the e^{t_n}-sized entries
-    wash out the identity long before n = 50.
+    wash out the identity long before n = 50.  mpmath is imported here, so
+    importing the module does not load it.
     """
+    import mpmath
+
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)

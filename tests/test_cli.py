@@ -406,3 +406,30 @@ def test_import_loads_no_multiprocessing(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+LAZY_IMPORTS = """
+import json, math, sys
+
+import khintchine_lab.cli as cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("mpmath", "argparse"))
+
+assert loaded() == [], f"importing the command line loaded {loaded()}"
+assert cli.main(["simulate", "--system", "cantor:1", "--walks", "4", "--steps", "300",
+                 "--level", "2.0", "--out", "simulate"]) == 0
+with open("simulate/manifest.json") as fh:
+    ci = json.load(fh)["verdicts"]["fitted_rate_ci"]
+assert len(ci) == 2 and all(map(math.isfinite, ci)), ci
+assert {"mpmath", "argparse"} <= set(sys.modules)
+"""
+
+
+def test_import_loads_no_mpmath_or_argparse(tmp_path):
+    # mpmath serves only simulate's t quantile and argparse only main, so
+    # importing the command line loads neither; a simulate through main then
+    # loads both and still writes a finite confidence interval
+    proc = subprocess.run([sys.executable, "-c", LAZY_IMPORTS], cwd=tmp_path, env=_src_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

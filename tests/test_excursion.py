@@ -442,8 +442,9 @@ def test_tail_report_censors_a_walk_without_a_return(monkeypatch):
     no_return = [5.0, 5.0, 0.0, 5.0, 5.0, 5.0]
 
     def report(rows):
-        fake = np.array(rows)
-        monkeypatch.setattr(excursion, "walk_heights", lambda sys, words: fake)
+        # tail_report reads the walks' Delta, e^-height
+        fake = np.exp(np.negative(rows))
+        monkeypatch.setattr(excursion, "_walk_deltas", lambda sys, words: fake)
         return excursion.tail_report(sys, window, walks=len(rows), steps=4, seed=0, burn_in=2)
 
     alone = report([returning])
@@ -451,6 +452,33 @@ def test_tail_report_censors_a_walk_without_a_return(monkeypatch):
     assert alone.n_samples == both.n_samples == 3
     assert both.n_censored == alone.n_censored + 1
     np.testing.assert_array_equal(both.empirical_tail, alone.empirical_tail)
+
+
+@pytest.mark.parametrize("d, walks, steps", [(1, 100, 2064), (2, 6, 400)])
+def test_window_visits_match_the_heights_on_walks(d, walks, steps):
+    # tail_report decides visits on Delta; the heights of walk_heights against
+    # the level must give the same steps.  d = 1 is the benchmark's simulate
+    # (100 walks of 64 + 2000 steps); the levels are 3.0 and some of the
+    # walks' own heights and their neighbouring floats, where the log decides
+    sys = ifs.cantor_product(d)
+    words = ifs.sample_words(sys, steps, walks, np.random.default_rng(20))
+    deltas = excursion._walk_deltas(sys, words)
+    heights = excursion.walk_heights(sys, words)
+    picks = np.random.default_rng(21).choice(heights.ravel(), 8)
+    levels = [3.0, *picks, *np.nextafter(picks, math.inf), *np.nextafter(picks, -math.inf)]
+    for level in map(float, levels):
+        np.testing.assert_array_equal(excursion._window_visits(deltas, level), heights <= level)
+
+
+@pytest.mark.parametrize("level", [3.0, 1.0, 0.5, 0.0, -50.0, 720.0])
+def test_window_visits_match_the_log_near_the_band(level):
+    # every float within 64 ulps of e^-level, on both sides of the window's
+    # edge; at 720 e^-level is subnormal and every step takes the log
+    c = np.float64(math.exp(-level))
+    deltas = (c.view(np.int64) + np.arange(-64, 65)).view(np.float64)
+    want = [-math.log(v) <= level for v in deltas.tolist()]
+    assert 0 < sum(want) < len(want)
+    assert excursion._window_visits(deltas, level).tolist() == want
 
 
 def test_tail_report_needs_window_visits():
