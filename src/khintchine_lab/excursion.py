@@ -378,9 +378,11 @@ def tail_report(
 
     Each walk is burnt in until it first visits the window; that visit is the
     start point, and the sigma samples are the gaps between consecutive
-    window visits over the next ``steps`` steps.  A visit is a step whose
-    height ``walk_heights`` would put in the window, decided on Delta by
-    ``_window_visits``.  theta_hat is the max over walks of the within-walk
+    window visits from there to the walk's last step.  A walk is censored
+    when it has no such gap, or when its last gap is still open: it left the
+    window after its last visit, before its last step.  A visit is a step
+    whose height ``walk_heights`` would put in the window, decided on Delta
+    by ``_window_visits``.  theta_hat is the max over walks of the within-walk
     mean of e^{(delta/m) sigma}; by Markov's inequality the pooled tail lies
     under e^{-(delta/m)s} theta_hat for any sample, so the bound checks the
     arithmetic, not the walk.
@@ -411,17 +413,13 @@ def tail_report(
         for row in in_window:
             visits = np.flatnonzero(row)
             anchors = visits[visits >= burn_in]
-            if anchors.size == 0:
+            if anchors.size < 2:
+                # no visit, or no return to the window
                 n_censored += 1
                 continue
-            i0 = int(anchors[0])
-            end = min(i0 + steps, total)
-            rets = anchors[(anchors > i0) & (anchors <= end)]
-            if rets.size == 0:
-                n_censored += 1
-                continue
-            gaps = np.diff(np.concatenate(([i0], rets)))
-            if rets[-1] < end:
+            gaps = np.diff(anchors)
+            if anchors[-1] < total - 1:
+                # the walk leaves the window after its last visit
                 n_censored += 1
             sigmas.append(gaps)
             group_log_means.append(

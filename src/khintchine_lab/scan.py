@@ -3,11 +3,13 @@
 A hit at q is ||q x - p||_inf < psi(q) with p the coordinatewise nearest
 integer vector (ties to even).  Every psi(q) a hit is decided against is the
 libm value ``ApproxFunction.__call__`` returns, so hit sets do not depend on
-numpy's CPU dispatch.  Rational x is scanned in integers: with x_j = A_j / B
-over a common denominator, q is a hit when max_j |q A_j - p_j B| * n < m * B
-for psi(q) = m / n, and only hits turn their error into a float.  Other x run
-in doubles, with numpy's array psi as a filter and the libm psi deciding every
-q near it.
+numpy's CPU dispatch.  The scan filters, then decides: per dyadic band of q,
+a vectorised float error is compared with one envelope, the libm psi at the
+band's first q widened by ``_PSI_WINDOW``, and only the q under it are
+decided.  A float x is decided by the libm psi.  A rational x is decided in
+integers: with x_j = A_j / B over a common denominator, q is a hit when
+max_j |q A_j - p_j B| * n < m * B for psi(q) = m / n, and only hits turn
+their error into a float.
 
 The bridge: a hit balances the lattice vector (e^{-t} q, e^{t/d}(q x - p))
 at t* = d/(d+1) (log q - log E), forcing the orbit height l(a_t u_x) up to
@@ -33,8 +35,9 @@ from .lattices import _flow_walk, _witness, height
 _Q_CHUNK = 1 << 15
 # step in t of dani_cross_check's converse grid
 _GRID_STEP = 0.05
-# The float scan decides with the libm psi every q whose error is at most
-# (1 + _PSI_WINDOW) times numpy's psi; the two psi differ by under 4e-15.
+# scan_hits decides every q of a dyadic band whose float error is at most
+# (1 + _PSI_WINDOW) times the libm psi at the band's first q; within a band
+# the libm psi rises above that value by less than 1e-10 (scan_hits)
 _PSI_WINDOW = 1e-9
 # survey folds coordinate 0 over blocks of at most this many (point, q) pairs
 # (one q at least), so that its two float buffers stay in a core's cache
@@ -118,61 +121,116 @@ def _make_record(q: int, p: np.ndarray, err_q: float, psi_q: float, d: int) -> H
     )
 
 
-def _exact_hits(x_exact: Sequence[Fraction], psi: ApproxFunction, q_max: int) -> list[HitRecord]:
-    d = len(x_exact)
-    big_b = math.lcm(*(xe.denominator for xe in x_exact))
-    nums = [xe.numerator * (big_b // xe.denominator) for xe in x_exact]
-    out = []
-    for lo in range(1, q_max + 1, _Q_CHUNK):
-        hi = min(lo + _Q_CHUNK, q_max + 1)
-        for q, psi_q in zip(range(lo, hi), psi(np.arange(lo, hi, dtype=float)).tolist()):
-            p, e_max = [], 0
-            for a_j in nums:
-                # q A_j / B rounded half to even, and its residue |q A_j - p_j B|
-                p_j, rem = divmod(q * a_j, big_b)
-                if 2 * rem > big_b or (2 * rem == big_b and p_j & 1):
-                    p_j, rem = p_j + 1, big_b - rem
-                p.append(p_j)
-                e_max = max(e_max, rem)
-            m, n = psi_q.as_integer_ratio()
-            if e_max * n < m * big_b:
-                out.append(_make_record(q, np.array(p, dtype=int), e_max / big_b, psi_q, d))
-    return out
+def _exact_decision(q: int, nums: list[int], big_b: int, psi_q: float):
+    """(p, error) of q for x_j = A_j / B when it is a hit, else None.
+
+    p_j is q A_j / B rounded half to even, and q is a hit when max_j |q A_j -
+    p_j B| * n < m * B for psi_q = m / n; the error is that max over B,
+    correctly rounded.
+    """
+    p, e_max = [], 0
+    for a_j in nums:
+        p_j, rem = divmod(q * a_j, big_b)
+        if 2 * rem > big_b or (2 * rem == big_b and p_j & 1):
+            p_j, rem = p_j + 1, big_b - rem
+        p.append(p_j)
+        e_max = max(e_max, rem)
+    m, n = psi_q.as_integer_ratio()
+    if e_max * n < m * big_b:
+        return np.array(p, dtype=int), e_max / big_b
+    return None
 
 
 def scan_hits(x, psi: ApproxFunction, q_max: int, x_exact: Sequence[Fraction] | None = None) -> list[HitRecord]:
     """All q in [1, q_max] with ||q x - p||_inf < psi(q), nearest p.
 
     Every hit is decided against the libm ``psi(q)`` and carries it in its
-    margin.  With x_exact the comparison is exact, in integers, and the error
-    of a hit is correctly rounded.  Otherwise x is scanned in doubles one
-    chunk of q at a time: numpy's psi filters the chunk, and the libm psi
-    decides each q whose error is below numpy's psi or within a relative
-    ``_PSI_WINDOW`` above it.
+    margin.  With x_exact the decision is exact, in integers, and the error
+    of a hit is correctly rounded; x is then read as the floats of x_exact.
+
+    Filter, then decide.  Each dyadic band [2^k, 2^(k+1)) of q is swept one
+    ``_Q_CHUNK`` at a time for the float error err(q) = max_j |fl(q x_j) -
+    rint(fl(q x_j))|, and only the q with err(q) <= E_k + S q_hi are decided,
+    where E_k = max(psi(2^k), 2^-1022) (1 + ``_PSI_WINDOW``) is the band's
+    envelope, q_hi its last q, and S the slack below (0 for a float x).  No
+    hit is filtered out:
+
+    - psi is nonincreasing.  In exact arithmetic the chain ``__call__``
+      evaluates is L(q) = log c - a log q' - b log(log(e + q')) with q' =
+      max(q, x0), and a, b >= 0.
+    - The libm chain rises little.  Taking each libm log, exp and log1p
+      within an ulp, the computed L(q) is within 2^-48 (|log c| + a u + b v
+      + b) of the exact one, u and v being the computed log q' and
+      log(log(e + q')).  Where psi(q) is a normal float, L(q) >= -708.4 and
+      log c <= 709.8 give a u + b v <= 1419, v >= log log(e + 1) gives
+      b <= 5210, and |log c| <= 744.5.  So for q in the band the computed
+      L(q) exceeds the computed L(2^k) by at most 6e-11, and psi(q) <=
+      psi(2^k) (1 + 1e-10).
+    - The floor.  Where psi(2^k) is subnormal or zero, e^L(2^k) < 2^-1022,
+      so a normal psi(q) is below 2^-1022 (1 + 1e-10); a subnormal psi(q)
+      is below 2^-1022.  Either way psi(q) < E_k.
+    - The slack.  A float x is filtered on the very err(q) it is decided on,
+      so a hit has err(q) < psi(q) < E_k.  For x_exact, err(q) is read from
+      x_j' = float(x_exact_j), correctly rounded, and distance to the nearest
+      integer is 1-Lipschitz, so err(q) lies within q (2^-53 |x_j| + 2^-53
+      |x_j'| + 2^-1074) <= q 2^-51 X (1 + 2^-54) of the exact error, X =
+      max(max_j |x_j'|, 2^-1022) (the subtraction of rint and the max are
+      exact).  S = 2^-50 X is about twice that per q; the spare half covers
+      the roundings of S q_hi and of the sum.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x_exact is not None:
+        if len(x_exact) != x.size:
+            raise ValueError("x_exact length mismatch")
+        x = np.array([float(xe) for xe in x_exact])
     d = x.size
-    if not q_max * np.max(np.abs(x)) < 2.0**63:
+    x_max = float(np.max(np.abs(x)))
+    if not q_max * x_max < 2.0**63:
         # every p_j = round(q x_j) is stored as an int64
         raise ValueError("q_max * |x_j| must stay below 2^63 for every component")
+    slack = 0.0 if x_exact is None else 2.0**-50 * max(x_max, 2.0**-1022)
+    n_bands = q_max.bit_length()
+    envelopes = np.maximum(psi(np.ldexp(1.0, np.arange(n_bands))), 2.0**-1022) * (1.0 + _PSI_WINDOW)
+    size = min(_Q_CHUNK, q_max)
+    steps = np.arange(size, dtype=float)
+    q_buf, err_buf, qx_buf, rint_buf = (np.empty(size) for _ in range(4))
+    # filter: the q of each band whose float error is within its bound
+    candidates = []
+    for k, envelope in enumerate(envelopes.tolist()):
+        band_end = min(2 << k, q_max + 1)
+        bound = envelope + (band_end - 1) * slack
+        for lo in range(1 << k, band_end, _Q_CHUNK):
+            n = min(_Q_CHUNK, band_end - lo)
+            qs, err, qx = np.add(steps[:n], lo, out=q_buf[:n]), err_buf[:n], qx_buf[:n]
+            for j, x_j in enumerate(x.tolist()):
+                np.multiply(qs, x_j, out=qx)
+                np.subtract(qx, np.rint(qx, out=rint_buf[:n]), out=qx)
+                if j:
+                    np.maximum(err, np.abs(qx, out=qx), out=err)
+                else:
+                    np.abs(qx, out=err)
+            candidates.append(qs[err <= bound])
+    # decide: the float errors again, now with p, and one libm psi call
+    qs = np.concatenate(candidates)
+    qx = qs[:, None] * x
+    p = np.rint(qx)
+    err = np.max(np.abs(qx - p), axis=1)
     if x_exact is not None:
-        if len(x_exact) != d:
-            raise ValueError("x_exact length mismatch")
-        return _exact_hits(x_exact, psi, q_max)
-    out: list[HitRecord] = []
-    for lo in range(1, q_max + 1, _Q_CHUNK):
-        qs = np.arange(lo, min(lo + _Q_CHUNK, q_max + 1))
-        qx = qs[:, None] * x[None, :]
-        p = np.rint(qx)
-        err = np.max(np.abs(qx - p), axis=1)
-        psi_np = np.exp(psi.log_eval(np.log(qs)))
-        near = np.flatnonzero(err <= (1.0 + _PSI_WINDOW) * psi_np)
-        for i, psi_q in zip(near.tolist(), psi(qs[near].astype(float)).tolist()):
-            err_q = float(err[i])
-            if err_q < psi_q:
-                out.append(_make_record(lo + i, p[i].astype(int), err_q, psi_q, d))
+        big_b = math.lcm(*(xe.denominator for xe in x_exact))
+        nums = [xe.numerator * (big_b // xe.denominator) for xe in x_exact]
+    out = []
+    decided = zip(qs.astype(int).tolist(), p.astype(int), err.tolist(), psi(qs).tolist())
+    for q, p_q, err_q, psi_q in decided:
+        if x_exact is not None:
+            hit = _exact_decision(q, nums, big_b, psi_q)
+            if hit is None:
+                continue
+            p_q, err_q = hit
+        elif not err_q < psi_q:
+            continue
+        out.append(_make_record(q, p_q, err_q, psi_q, d))
     return out
 
 
@@ -235,9 +293,9 @@ def dani_cross_check(
         if l_val < r_val - tol:
             direct_violations.append((hit.q, hit.witness_time, l_val, r_val))
     ts = np.arange(t0 + 1e-6, d / (d + 1) * math.log(q_max) + 5.0, _GRID_STEP)
-    converse_violations = []
     crossings = 0
     times_checked = 0
+    crossing_times, witnesses = [], []
     for t, r_val, (delta, u, coeffs) in zip(ts.tolist(), rate(ts).tolist(), _grid_walk(x, ts)):
         if t - r_val > math.log(q_max) - 1e-9:
             continue  # witness q could exceed the scan range; the walk goes on
@@ -246,11 +304,17 @@ def dani_cross_check(
         if l_val < r_val + tol:
             continue
         crossings += 1
-        witness = _witness(u, coeffs)
-        q = int(witness[0])
-        p = -np.asarray(witness[1:], dtype=int)
-        err = float(np.max(np.abs(q * x - p))) if q != 0 else math.inf
-        psi_q = float(psi(q)) if q >= 1 else math.nan
+        crossing_times.append(t)
+        witnesses.append(_witness(u, coeffs))
+    # every witness is judged after the walk, on one libm psi call
+    w = np.array(witnesses, dtype=np.int64).reshape(-1, d + 1)
+    qs = w[:, 0]
+    errs = np.max(np.abs(qs[:, None] * x + w[:, 1:]), axis=1)
+    psi_qs = psi(np.maximum(qs, 1).astype(float))
+    converse_violations = []
+    for t, q, err, psi_q in zip(crossing_times, qs.tolist(), errs.tolist(), psi_qs.tolist()):
+        err = err if q != 0 else math.inf
+        psi_q = psi_q if q >= 1 else math.nan
         if q < 1 or q > math.exp(t) + 1.0 or not err < psi_q:
             converse_violations.append((t, q, err, psi_q))
     return CrossCheckReport(

@@ -433,25 +433,44 @@ def test_tail_report_rejects_non_finite_delta(tmp_path, capsys, value):
         assert "finite" in capsys.readouterr().err
 
 
+def _report_on_heights(monkeypatch, rows):
+    # tail_report on walks of given heights (it reads their Delta, e^-height),
+    # burn-in 2 and 4 steps after it
+    fake = np.exp(np.negative(rows))
+    monkeypatch.setattr(excursion, "_walk_deltas", lambda sys, words: fake)
+    return excursion.tail_report(ifs.cantor_product(1), lattices.CompactWindow(1.0),
+                                 walks=len(rows), steps=4, seed=0, burn_in=2)
+
+
 def test_tail_report_censors_a_walk_without_a_return(monkeypatch):
-    # burn-in 2 and 4 steps after it: the first walk returns to the window
-    # at every step, the second visits it first at step 2 and never again
-    sys = ifs.cantor_product(1)
-    window = lattices.CompactWindow(1.0)
+    # the first walk returns to the window at every step, the second visits
+    # it first at step 2 and never again
     returning = [0.0] * 6
     no_return = [5.0, 5.0, 0.0, 5.0, 5.0, 5.0]
-
-    def report(rows):
-        # tail_report reads the walks' Delta, e^-height
-        fake = np.exp(np.negative(rows))
-        monkeypatch.setattr(excursion, "_walk_deltas", lambda sys, words: fake)
-        return excursion.tail_report(sys, window, walks=len(rows), steps=4, seed=0, burn_in=2)
-
-    alone = report([returning])
-    both = report([returning, no_return])
+    alone = _report_on_heights(monkeypatch, [returning])
+    both = _report_on_heights(monkeypatch, [returning, no_return])
     assert alone.n_samples == both.n_samples == 3
     assert both.n_censored == alone.n_censored + 1
     np.testing.assert_array_equal(both.empirical_tail, alone.empirical_tail)
+
+
+def test_tail_report_does_not_censor_a_walk_ending_in_the_window(monkeypatch):
+    # visits at steps 2, 4 and 5, the walk's last step: both gaps are closed
+    rep = _report_on_heights(monkeypatch, [[5.0, 5.0, 0.0, 5.0, 0.0, 0.0]])
+    assert rep.n_censored == 0
+    assert rep.n_samples == 2
+    rep = _report_on_heights(monkeypatch, [[0.0] * 6])
+    assert rep.n_censored == 0
+
+
+def test_tail_report_censors_a_walk_leaving_the_window_for_good(monkeypatch):
+    # visits at steps 2, 3 and 4; the walk is outside at its last step 5, so
+    # its last gap is still open
+    rep = _report_on_heights(monkeypatch, [[5.0, 5.0, 0.0, 0.0, 0.0, 5.0]])
+    assert rep.n_censored == 1
+    assert rep.n_samples == 2
+    both = _report_on_heights(monkeypatch, [[5.0, 5.0, 0.0, 0.0, 0.0, 5.0], [0.0] * 6])
+    assert both.n_censored == 1
 
 
 @pytest.mark.parametrize("d, walks, steps", [(1, 100, 2064), (2, 6, 400)])

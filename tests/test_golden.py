@@ -46,6 +46,9 @@ CLI_CASES = {
     # dani_cross_check runs shortest_of_basis on 2x2 bases
     "approx_d1_rational": ("approx", "cantor:1", {"x": "3/7", "q_max": 200}),
     "approx_d1_golden": ("approx", "cantor:1", {"x": "golden", "q_max": 200}),
+    # seventeen dyadic bands of q, past the scan's chunk of 2^15
+    "approx_d1_golden_1e5": ("approx", "cantor:1", {"x": "golden", "q_max": 100_000}),
+    "approx_d1_rational_1e5": ("approx", "cantor:1", {"x": "31415/65519", "q_max": 100_000}),
 }
 
 

@@ -150,6 +150,91 @@ def test_float_scan_decides_every_q_with_libm_psi():
     assert total > 20
 
 
+def _t_star(q, err, d):
+    return math.inf if err == 0.0 else d / (d + 1) * (math.log(q) - math.log(err))
+
+
+def _dense_float_scan(x, psi_all, q_max):
+    # the reference of the float scan: every q, decided as err < psi(q) on
+    # the libm psi of every q, with no filter
+    d = x.size
+    qs = np.arange(1, q_max + 1)
+    qx = qs[:, None] * x
+    p = np.rint(qx)
+    err = np.max(np.abs(qx - p), axis=1)
+    hit = np.flatnonzero(err < psi_all)
+    return [(q, p_q, err_q / q, (psi_q - err_q) / q, _t_star(q, err_q, d))
+            for q, p_q, err_q, psi_q in zip((hit + 1).tolist(), p[hit].astype(int).tolist(),
+                                            err[hit].tolist(), psi_all[hit].tolist())]
+
+
+def _all_q_integer_scan(x_exact, psi, q_max):
+    # the reference of the rational scan: the integer test on every q, with
+    # no filter
+    d = len(x_exact)
+    big_b = math.lcm(*(xe.denominator for xe in x_exact))
+    nums = [xe.numerator * (big_b // xe.denominator) for xe in x_exact]
+    out = []
+    for q, psi_q in zip(range(1, q_max + 1), psi(np.arange(1.0, q_max + 1.0)).tolist()):
+        p, e_max = [], 0
+        for a_j in nums:
+            p_j, rem = divmod(q * a_j, big_b)
+            if 2 * rem > big_b or (2 * rem == big_b and p_j & 1):
+                p_j, rem = p_j + 1, big_b - rem
+            p.append(p_j)
+            e_max = max(e_max, rem)
+        m, n = psi_q.as_integer_ratio()
+        if e_max * n < m * big_b:
+            err_q = e_max / big_b
+            out.append((q, p, err_q / q, (psi_q - err_q) / q, _t_star(q, err_q, d)))
+    return out
+
+
+# past two scan chunks of 2^15 q and across 17 dyadic bands
+SCALE_Q_MAX = 70_000
+# the psi families, one steep enough to underflow to subnormals and zero
+# near q = 360, and one frozen at psi(5000) over its first 13 bands
+SCALE_PSI = PSI_FAMILIES + [ApproxFunction.power_log(1.0, 120.0),
+                            ApproxFunction.power_log(1.0, 1.0, x0=5000.0)]
+
+
+@pytest.mark.parametrize("psi", SCALE_PSI, ids=["q^-1", "q^-1.5/2", "log", "q^-120", "x0=5000"])
+def test_float_scan_matches_dense_reference_at_scale(psi):
+    # random targets, and dyadic ones whose zero errors hit wherever psi(q)
+    # is positive, subnormal psi(q) included
+    rng = np.random.default_rng(29)
+    psi_all = psi(np.arange(1.0, SCALE_Q_MAX + 1.0))
+    targets = [rng.random(d) for d in (1, 2, 3)]
+    targets += [np.array([0.5]), np.array([0.25, 0.75]), np.array([0.125, 0.5, 0.0])]
+    for x in targets:
+        hits = scan.scan_hits(x, psi, SCALE_Q_MAX)
+        assert _fields(hits) == _dense_float_scan(x, psi_all, SCALE_Q_MAX), x
+    if psi.a == 120.0:
+        assert 0.0 < psi_all.min(where=psi_all > 0.0, initial=1.0) < 2.0**-1022
+        assert any(h.q > 360 for h in scan.scan_hits([0.5], psi, SCALE_Q_MAX))
+
+
+# rational targets: one whose denominator exceeds 10^4, and 10^7 + 1234/10007
+# under the constant psi = 1.2/10007, where the float error of q x is off by
+# up to 2.2e-5, so that 8 of the 20 hits pass the filter only by its slack
+SCALE_RATIONALS = [
+    ([Fraction(31415, 65519)], psi_over_q()),
+    ([Fraction(3, 7), Fraction(5, 11)], ApproxFunction.power_log(1.0, 0.5)),
+    ([Fraction(1, 4), Fraction(-7, 30), Fraction(100, 101)], ApproxFunction.power_log(2.0, 1.0, b=1.0)),
+    ([Fraction(10**7 * 10007 + 1234, 10007)], ApproxFunction.power_log(1.2 / 10007, 0.0)),
+]
+
+
+@pytest.mark.parametrize("x_exact, psi", SCALE_RATIONALS, ids=["d1-65519", "d2", "d3", "d1-large-x"])
+def test_rational_scan_matches_all_q_integer_scan_at_scale(x_exact, psi):
+    want = _all_q_integer_scan(x_exact, psi, SCALE_Q_MAX)
+    x = [float(xe) for xe in x_exact]
+    assert _fields(scan.scan_hits(x, psi, SCALE_Q_MAX, x_exact=x_exact)) == want
+    # the scan reads the floats of x_exact, not a disagreeing x
+    assert _fields(scan.scan_hits(np.add(x, 0.3), psi, SCALE_Q_MAX, x_exact=x_exact)) == want
+    assert len(want) > 5
+
+
 def test_hit_record_fields():
     x = np.array([1 / 3 + 1e-4])
     hits = scan.scan_hits(x, psi_over_q(), 3)
